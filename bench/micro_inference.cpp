@@ -1,17 +1,14 @@
 // Microbenchmarks of forest inference: node-hopping interpreter
 // (RandomForest::predict_all_into) vs the compiled flat traversal
-// (ml::CompiledForest::predict_into) vs the explicit-SIMD pack traversal
-// (ml::SimdForest::predict_into), across tree depth and batch size. All
-// three produce bit-identical outputs (tests/ml/test_compiled_forest.cpp
-// and tests/ml/test_simd_forest.cpp); this isolates the layout and
-// vectorization wins. Build with -DESL_NATIVE=ON to also let the
-// compiled path's inner loop auto-vectorize.
+// (ml::CompiledForest::predict_into), across tree depth and batch size.
+// Both produce bit-identical outputs (tests/ml/test_compiled_forest.cpp);
+// this isolates the layout win.
 //
 // Two modes:
 //  * default: Google Benchmark suite;
-//  * --json PATH: self-timed node-hop/compiled/simd matrix over
-//    depth x batch, written as machine-readable JSON (BENCH_inference.json
-//    in CI) so the inference trajectory can be tracked across commits.
+//  * --json PATH: self-timed node-hop/compiled matrix over depth x
+//    batch, written as machine-readable JSON (BENCH_inference.json in
+//    CI) so the inference trajectory can be tracked across commits.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -20,11 +17,9 @@
 
 #include "alloc_compare.hpp"
 #include "common/random.hpp"
-#include "common/simd.hpp"
 #include "ml/compiled_forest.hpp"
 #include "ml/dataset.hpp"
 #include "ml/random_forest.hpp"
-#include "ml/simd_forest.hpp"
 
 ESL_DEFINE_COUNTING_ALLOCATOR();
 
@@ -98,22 +93,6 @@ void bm_flat(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 
-void bm_simd(benchmark::State& state) {
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  const ml::RandomForest forest = fitted_forest(depth);
-  const ml::SimdForest simd(forest);  // no scaler: same input rows
-  Matrix rows = probe_rows(batch);
-  RealVector proba;
-  std::vector<int> labels;
-  for (auto _ : state) {
-    simd.predict_into(rows, proba, labels);
-    benchmark::DoNotOptimize(labels.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-
 void depth_by_batch(benchmark::internal::Benchmark* bench) {
   for (const std::int64_t depth : {4, 8, 16}) {
     for (const std::int64_t batch : {1, 16, 64, 256, 1024}) {
@@ -124,10 +103,9 @@ void depth_by_batch(benchmark::internal::Benchmark* bench) {
 
 BENCHMARK(bm_node_hop)->Apply(depth_by_batch);
 BENCHMARK(bm_flat)->Apply(depth_by_batch);
-BENCHMARK(bm_simd)->Apply(depth_by_batch);
 
 // --------------------------------------------------------------- --json
-// Self-timed node-hop vs compiled vs simd matrix (no Google Benchmark so
+// Self-timed node-hop vs compiled matrix (no Google Benchmark so
 // the numbers come from the exact measured calls). Reuses the timing
 // protocol of the dsp/features micro benches (alloc_compare.hpp).
 
@@ -139,7 +117,6 @@ struct InferenceCell {
   std::size_t batch;
   PathResult node_hop;
   PathResult compiled;
-  PathResult simd;
 };
 
 int run_json_mode(const std::string& path) {
@@ -147,14 +124,13 @@ int run_json_mode(const std::string& path) {
   for (const std::size_t depth : {4u, 8u, 16u}) {
     const ml::RandomForest forest = fitted_forest(depth);
     const ml::CompiledForest compiled(forest);
-    const ml::SimdForest simd(forest);
     for (const std::size_t batch : {1u, 16u, 64u, 256u, 1024u}) {
       Matrix rows = probe_rows(batch);
       RealVector proba;
       std::vector<int> labels;
       // Scale iteration counts so each cell costs roughly constant time.
       const std::size_t iterations = 20000 / batch + 50;
-      InferenceCell cell{depth, batch, {}, {}, {}};
+      InferenceCell cell{depth, batch, {}, {}};
       cell.node_hop = measure(
           [&] {
             forest.predict_all_into(rows, proba, labels);
@@ -167,28 +143,19 @@ int run_json_mode(const std::string& path) {
             benchmark::DoNotOptimize(labels.data());
           },
           iterations);
-      cell.simd = measure(
-          [&] {
-            simd.predict_into(rows, proba, labels);
-            benchmark::DoNotOptimize(labels.data());
-          },
-          iterations);
       cells.push_back(cell);
     }
   }
 
   // Columns are rows/sec (per-call rate times batch), matching the
   // *_rps fields in the JSON.
-  std::printf("%-18s %14s %14s %14s %9s %9s\n", "depth x batch",
-              "node-hop (r/s)", "compiled (r/s)", "simd (r/s)", "cmp/hop",
-              "simd/cmp");
+  std::printf("%-18s %14s %14s %9s\n", "depth x batch", "node-hop (r/s)",
+              "compiled (r/s)", "cmp/hop");
   for (const InferenceCell& c : cells) {
-    std::printf("d%-2zu b%-13zu %14.0f %14.0f %14.0f %8.2fx %8.2fx\n", c.depth,
-                c.batch, c.node_hop.windows_per_s * c.batch,
+    std::printf("d%-2zu b%-13zu %14.0f %14.0f %8.2fx\n", c.depth, c.batch,
+                c.node_hop.windows_per_s * c.batch,
                 c.compiled.windows_per_s * c.batch,
-                c.simd.windows_per_s * c.batch,
-                c.compiled.windows_per_s / c.node_hop.windows_per_s,
-                c.simd.windows_per_s / c.compiled.windows_per_s);
+                c.compiled.windows_per_s / c.node_hop.windows_per_s);
   }
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -196,22 +163,18 @@ int run_json_mode(const std::string& path) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"micro_inference\",\n  \"simd_level\": "
-               "\"%s\",\n  \"results\": [\n",
-               kernels::level_name(kernels::active_level()));
+  std::fprintf(f, "{\n  \"bench\": \"micro_inference\",\n  \"results\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const InferenceCell& c = cells[i];
     // rows/sec: per-call rate times the batch each call classifies.
     std::fprintf(
         f,
         "    {\"depth\": %zu, \"batch\": %zu, \"node_hop_rps\": %.1f, "
-        "\"compiled_rps\": %.1f, \"simd_rps\": %.1f, "
-        "\"compiled_speedup\": %.3f, \"simd_speedup\": %.3f}%s\n",
+        "\"compiled_rps\": %.1f, \"compiled_speedup\": %.3f}%s\n",
         c.depth, c.batch, c.node_hop.windows_per_s * c.batch,
-        c.compiled.windows_per_s * c.batch, c.simd.windows_per_s * c.batch,
+        c.compiled.windows_per_s * c.batch,
         c.compiled.windows_per_s / c.node_hop.windows_per_s,
-        c.simd.windows_per_s / c.compiled.windows_per_s, i + 1 < cells.size() ? "," : "");
+        i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -4,8 +4,8 @@
 // its bytes are input, not state. This harness drives the single
 // parsing seam — bind_artifact() — on arbitrary blobs: every input must
 // either be rejected with an esl::Error (InvalidArgument/DataError) or
-// yield a view that both traversal backends can serve predictions from
-// without leaving the blob. Any other outcome (signal, sanitizer
+// yield a view that predict_flat can serve predictions from without
+// leaving the blob. Any other outcome (signal, sanitizer
 // report, unhandled exception) is a finding.
 //
 // Build: -DESL_FUZZ=ON. Under Clang this links libFuzzer
@@ -37,7 +37,7 @@ using esl::RealVector;
 constexpr std::uint64_t k_predict_node_limit = 4096;
 constexpr std::uint32_t k_predict_feature_limit = 1024;
 
-void predict_both_backends(const esl::ml::ArtifactView& view) {
+void predict(const esl::ml::ArtifactView& view) {
   const std::size_t cols = static_cast<std::size_t>(view.forest.max_feature) + 1;
   Matrix rows;
   RealVector row(cols);
@@ -52,8 +52,7 @@ void predict_both_backends(const esl::ml::ArtifactView& view) {
 
   RealVector proba;
   std::vector<int> labels;
-  esl::ml::predict_flat_compiled(view.forest, rows, proba, labels);
-  esl::ml::predict_flat_simd(view.forest, rows, proba, labels);
+  esl::ml::predict_flat(view.forest, rows, proba, labels);
 }
 
 }  // namespace
@@ -72,7 +71,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const esl::ml::ArtifactView view = esl::ml::bind_artifact(bytes);
     if (view.header.node_count <= k_predict_node_limit &&
         view.header.max_feature < k_predict_feature_limit) {
-      predict_both_backends(view);
+      predict(view);
     }
   } catch (const esl::Error&) {
     // Malformed input correctly rejected at the boundary.

@@ -206,13 +206,13 @@ int main(int argc, char** argv) {
 
   // Permanent regressions: the hostile-payload blobs that slipped past
   // header-only validation before validate_payload() existed (OOB reads
-  // through left/right/tree_root/feature during traversal).
+  // through children/tree_root/feature during traversal).
   const ml::ArtifactHeader header = header_of(plain);
   const ml::ArtifactLayout layout = ml::artifact_layout(
       header.node_count, header.tree_count, header.scaler_width);
   {
     std::vector<char> hostile = plain;
-    poke_u32(hostile, layout.left,
+    poke_u32(hostile, layout.children,
              static_cast<std::uint32_t>(header.node_count));
     write_bytes(root / "regressions/artifact/oob_left_child.bin", hostile);
   }

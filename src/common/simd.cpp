@@ -14,18 +14,11 @@
 
 #if defined(__GNUC__) && !defined(__clang__)
 // Everything taking a 256-bit pack parameter is force-inlined, so the
-// "ABI for passing 32-byte parameters has changed" note is moot; and
-// GCC's own avx2intrin.h gather wrappers trip -Wmaybe-uninitialized on
-// their _mm256_undefined_pd() pass-through source operand.
+// "ABI for passing 32-byte parameters has changed" note is moot.
 #pragma GCC diagnostic ignored "-Wpsabi"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
 #include "common/simd_kernels.hpp"
-
-#if ESL_SIMD_HAS_AVX2
-#include <immintrin.h>
-#endif
 
 namespace esl::kernels {
 
@@ -86,73 +79,6 @@ ESL_SIMD_TARGET_AVX2 void avx2_dwt_periodic_analysis(
     std::size_t filter_length, Real* approx, Real* detail) {
   impl::dwt_periodic_analysis<4>(x, n, lowpass, highpass, filter_length,
                                  approx, detail);
-}
-
-/// Hardware-gather traversal: four rows per pack, one vgatherdpd for the
-/// thresholds and values, one vpgatherdd for the interleaved child pick.
-/// The child index is 2*node + go_right — pure integer selection — and
-/// the leaf accumulation stays in per-row ensemble order, so the result
-/// is bit-identical to every other flavor.
-ESL_SIMD_TARGET_AVX2 void avx2_forest_accumulate(const ForestView& f,
-                                                 const Real* rows,
-                                                 std::size_t row_count,
-                                                 std::size_t stride,
-                                                 Real* proba) {
-  // 32 rows = 8 independent gather chains per level: enough in flight to
-  // hide vgatherdpd latency (block size never affects results — per row
-  // the trees still accumulate in ensemble order).
-  constexpr std::size_t kBlock = 32;
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kPacks = kBlock / kLanes;
-  const int* children = reinterpret_cast<const int*>(f.children);
-  const int* feature = reinterpret_cast<const int*>(f.feature);
-  const __m256d one = _mm256_set1_pd(1.0);
-
-  std::size_t r0 = 0;
-  for (; r0 + kBlock <= row_count; r0 += kBlock) {
-    const Real* block_rows = rows + r0 * stride;
-    __m128i row_offset[kPacks];
-    for (std::size_t p = 0; p < kPacks; ++p) {
-      const int base = static_cast<int>(kLanes * p * stride);
-      const int s = static_cast<int>(stride);
-      row_offset[p] = _mm_setr_epi32(base, base + s, base + 2 * s, base + 3 * s);
-    }
-    for (std::size_t t = 0; t < f.tree_count; ++t) {
-      const __m128i root = _mm_set1_epi32(static_cast<int>(f.tree_root[t]));
-      const std::uint32_t depth = f.tree_depth[t];
-      __m128i node[kPacks];
-      for (std::size_t p = 0; p < kPacks; ++p) {
-        node[p] = root;
-      }
-      for (std::uint32_t level = 0; level < depth; ++level) {
-        for (std::size_t p = 0; p < kPacks; ++p) {
-          const __m128i cur = node[p];
-          const __m128i feat = _mm_i32gather_epi32(feature, cur, 4);
-          const __m256d thr = _mm256_i32gather_pd(f.threshold, cur, 8);
-          const __m128i flat = _mm_add_epi32(row_offset[p], feat);
-          const __m256d val = _mm256_i32gather_pd(block_rows, flat, 8);
-          // go_right = 1 where NOT (val <= thr); NaN compares false, so
-          // NaN rows go right exactly like the scalar traversal.
-          const __m256d le = _mm256_cmp_pd(val, thr, _CMP_LE_OQ);
-          const __m128i go_right = _mm256_cvtpd_epi32(_mm256_andnot_pd(le, one));
-          const __m128i child_index =
-              _mm_add_epi32(_mm_add_epi32(cur, cur), go_right);
-          node[p] = _mm_i32gather_epi32(children, child_index, 4);
-        }
-      }
-      for (std::size_t p = 0; p < kPacks; ++p) {
-        const __m256d leaf = _mm256_i32gather_pd(f.leaf_value, node[p], 8);
-        Real* out = proba + r0 + kLanes * p;
-        _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), leaf));
-      }
-    }
-  }
-  if (r0 < row_count) {
-    // Partial trailing block: the width-4 template path (gather-lite) is
-    // bit-identical, so the seam stays uniform.
-    impl::forest_accumulate<4>(f, rows + r0 * stride, row_count - r0, stride,
-                               proba + r0);
-  }
 }
 
 #endif  // ESL_SIMD_HAS_AVX2
@@ -290,24 +216,6 @@ void dwt_periodic_analysis(const Real* x, std::size_t n, const Real* lowpass,
     default:
       impl::dwt_periodic_analysis<1>(x, n, lowpass, highpass, filter_length,
                                      approx, detail);
-      return;
-  }
-}
-
-void forest_accumulate(const ForestView& forest, const Real* rows,
-                       std::size_t row_count, std::size_t stride,
-                       Real* proba) {
-  switch (active_level()) {
-#if ESL_SIMD_HAS_AVX2
-    case SimdLevel::kAvx2:
-      avx2_forest_accumulate(forest, rows, row_count, stride, proba);
-      return;
-#endif
-    case SimdLevel::kSse2:
-      impl::forest_accumulate<2>(forest, rows, row_count, stride, proba);
-      return;
-    default:
-      impl::forest_accumulate<1>(forest, rows, row_count, stride, proba);
       return;
   }
 }

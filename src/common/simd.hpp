@@ -3,19 +3,18 @@
 // Two pieces live here:
 //
 //  * `esl::simd` — a small fixed-width pack abstraction (load/store/
-//    broadcast, +/-/*, unfused fma, compare, select, gather-lite, and the
-//    pair shuffles interleaved complex data needs) over the GCC/Clang
+//    broadcast, +/-/*, unfused fma, compare, select, and the pair
+//    shuffles interleaved complex data needs) over the GCC/Clang
 //    vector extensions, with a plain-array scalar fallback for other
 //    compilers. Packs are a codegen vocabulary, not a public container:
 //    only the kernel implementations use them.
 //
 //  * `esl::kernels` — the dispatch seam callers actually use. Each entry
 //    point (FFT butterfly stage, rfft unpack, taper multiply, |X|^2
-//    density, DWT analysis correlation, forest traversal) is compiled in
-//    three flavors — scalar, 128-bit baseline ("sse2"; NEON on aarch64),
-//    and AVX2 via per-function target attributes — and selected at
-//    runtime from one CPU probe. Callers never write intrinsics and
-//    never see pack types.
+//    density, DWT analysis correlation) is compiled in three flavors —
+//    scalar, 128-bit baseline ("sse2"; NEON on aarch64), and AVX2 via
+//    per-function target attributes — and selected at runtime from one
+//    CPU probe. Callers never write intrinsics and never see pack types.
 //
 // Parity contract: every flavor of every kernel performs the *same
 // arithmetic in the same per-element order* (fma() is an unfused
@@ -32,7 +31,6 @@
 
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 
 #include "common/types.hpp"
@@ -102,15 +100,6 @@ struct Pack {
 
   static ESL_SIMD_INLINE Pack zero() { return broadcast(T(0)); }
 
-  /// Gather-lite: W independent lane loads base[idx[i]]. No hardware
-  /// gather is assumed; the AVX2 forest kernel upgrades the pattern to
-  /// real gather instructions internally.
-  static ESL_SIMD_INLINE Pack gather(const T* base, const std::uint32_t* idx) {
-    Pack r;
-    for (int i = 0; i < W; ++i) r.v[i] = base[idx[i]];
-    return r;
-  }
-
   ESL_SIMD_INLINE void store(T* p) const { std::memcpy(p, &v, sizeof(v)); }
 
   ESL_SIMD_INLINE T lane(int i) const { return v[i]; }
@@ -151,9 +140,6 @@ struct Pack<T, 1> {
   static ESL_SIMD_INLINE Pack load(const T* p) { return {*p}; }
   static ESL_SIMD_INLINE Pack broadcast(T x) { return {x}; }
   static ESL_SIMD_INLINE Pack zero() { return {T(0)}; }
-  static ESL_SIMD_INLINE Pack gather(const T* base, const std::uint32_t* idx) {
-    return {base[idx[0]]};
-  }
   ESL_SIMD_INLINE void store(T* p) const { *p = v; }
   ESL_SIMD_INLINE T lane(int) const { return v; }
   friend ESL_SIMD_INLINE Pack operator+(Pack a, Pack b) { return {a.v + b.v}; }
@@ -415,34 +401,5 @@ void power_density(const Complex* spectrum, std::size_t bins, Real scale,
 void dwt_periodic_analysis(const Real* x, std::size_t n, const Real* lowpass,
                            const Real* highpass, std::size_t filter_length,
                            Real* approx, Real* detail);
-
-// ----------------------------------------------------------- forest kernel
-
-/// Flat-forest view for the traversal kernel (borrowed pointers into a
-/// CompiledForest plus the SimdForest's interleaved child pairs).
-struct ForestView {
-  const std::uint32_t* feature = nullptr;
-  const Real* threshold = nullptr;
-  /// children[2*node + 0] = left, children[2*node + 1] = right; leaves
-  /// self-loop, so traversal runs a fixed per-tree level count.
-  const std::uint32_t* children = nullptr;
-  const Real* leaf_value = nullptr;
-  const std::uint32_t* tree_root = nullptr;
-  const std::uint32_t* tree_depth = nullptr;
-  std::size_t tree_count = 0;
-};
-
-/// Row-block-major blocked traversal: for each block of rows, every tree
-/// advances the block level by level with a branch-free pack compare and
-/// a mask-indexed pick over the interleaved child pairs (AVX2 flavor
-/// uses hardware gathers), then accumulates leaf values into proba[row]. Per row the trees accumulate in ensemble order, so
-/// the sum is bit-identical to CompiledForest::predict_into's. `proba`
-/// must be zeroed by the caller. Gather indices are 32-bit and
-/// block-relative (the widest flavor advances 32 rows per block), so
-/// the forest must satisfy 2 * node_count + 1 < 2^31 and the rows
-/// 32 * stride + max_feature < 2^31; batch size is unbounded.
-/// SimdForest validates both before dispatching here.
-void forest_accumulate(const ForestView& forest, const Real* rows,
-                       std::size_t row_count, std::size_t stride, Real* proba);
 
 }  // namespace esl::kernels

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "features/extractor.hpp"
-#include "ml/simd_forest.hpp"
 
 namespace esl::core {
 
@@ -75,15 +74,6 @@ void RealtimeDetector::fit(const ml::Dataset& train, std::uint64_t seed) {
 std::shared_ptr<const ml::CompiledForest> RealtimeDetector::compile() const {
   expects(is_fitted(), "RealtimeDetector::compile: not fitted");
   return std::make_shared<const ml::CompiledForest>(*forest_, row_scaler_);
-}
-
-std::shared_ptr<const ml::InferenceModel> RealtimeDetector::compile(
-    ml::InferenceBackend backend) const {
-  expects(is_fitted(), "RealtimeDetector::compile: not fitted");
-  // Delegates to the one factory seam every backend-picking caller
-  // shares (ml::compile), so detector deploys and registry-mapped loads
-  // choose flavor through the same enum.
-  return ml::compile(*forest_, row_scaler_, backend);
 }
 
 void RealtimeDetector::scale_rows_in_place(Matrix& raw_rows) const {

@@ -91,7 +91,7 @@ std::shared_ptr<const ml::InferenceModel> ModelRegistry::open(
   // Cold key or replaced file: map the artifact fresh. Mapping is
   // O(header) — the arrays page in lazily on first traversal.
   Entry entry;
-  entry.model = ml::load_artifact(path, config_.backend);
+  entry.model = ml::load_artifact(path);
   entry.file_bytes = file_bytes;
   entry.mtime_ns = mtime_ns;
   entry.last_used = ++tick_;

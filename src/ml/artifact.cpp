@@ -31,8 +31,6 @@ ArtifactLayout artifact_layout(std::uint64_t node_count,
   };
   place(&layout.feature, n * sizeof(std::uint32_t));
   place(&layout.threshold, n * sizeof(Real));
-  place(&layout.left, n * sizeof(std::uint32_t));
-  place(&layout.right, n * sizeof(std::uint32_t));
   place(&layout.children, 2 * n * sizeof(std::uint32_t));
   place(&layout.leaf_value, n * sizeof(Real));
   place(&layout.tree_root, t * sizeof(std::uint32_t));
@@ -92,17 +90,12 @@ void validate_payload(const ArtifactHeader& header,
             "artifact: tree depth exceeds the declared maximum");
   }
   for (std::size_t i = 0; i < forest.feature.size(); ++i) {
-    expects(forest.left[i] < n, "artifact: left child outside the node arrays");
-    expects(forest.right[i] < n,
+    expects(forest.children[2 * i] < n,
+            "artifact: left child outside the node arrays");
+    expects(forest.children[2 * i + 1] < n,
             "artifact: right child outside the node arrays");
-    // The SIMD traversal gathers through the interleaved pairs; a
-    // mismatch against left/right would silently diverge the two
-    // backends (same bytes, different detections), so it is malformed.
-    expects(forest.children[2 * i] == forest.left[i] &&
-                forest.children[2 * i + 1] == forest.right[i],
-            "artifact: interleaved children disagree with left/right");
-    // predict_flat_* bound row width against header.max_feature; a
-    // feature id past it would gather outside the batch rows.
+    // predict_flat bounds row width against header.max_feature; a
+    // feature id past it would read outside the batch rows.
     expects(forest.feature[i] <= header.max_feature,
             "artifact: feature id exceeds the declared maximum");
   }
@@ -137,8 +130,6 @@ ArtifactView bind_artifact(std::span<const std::byte> bytes) {
   };
   view.forest.feature = u32_at(layout.feature, n);
   view.forest.threshold = real_at(layout.threshold, n);
-  view.forest.left = u32_at(layout.left, n);
-  view.forest.right = u32_at(layout.right, n);
   view.forest.children = u32_at(layout.children, 2 * n);
   view.forest.leaf_value = real_at(layout.leaf_value, n);
   view.forest.tree_root = u32_at(layout.tree_root, t);
@@ -170,17 +161,6 @@ void save_artifact(const std::string& path, const CompiledForest& forest) {
   // What save writes must be exactly what load accepts.
   validate(header);
 
-  // The interleaved child pairs are part of the format so the SIMD
-  // traversal is zero-copy from the mapping too (SimdForest builds this
-  // array in memory; the artifact bakes it once at save time).
-  const auto left = forest.left_children();
-  const auto right = forest.right_children();
-  std::vector<std::uint32_t> children(2 * left.size());
-  for (std::size_t n = 0; n < left.size(); ++n) {
-    children[2 * n] = left[n];
-    children[2 * n + 1] = right[n];
-  }
-
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -208,10 +188,8 @@ void save_artifact(const std::string& path, const CompiledForest& forest) {
        forest.features().size_bytes());
   emit(layout.threshold, forest.thresholds().data(),
        forest.thresholds().size_bytes());
-  emit(layout.left, left.data(), left.size_bytes());
-  emit(layout.right, right.data(), right.size_bytes());
-  emit(layout.children, children.data(),
-       children.size() * sizeof(std::uint32_t));
+  emit(layout.children, forest.children().data(),
+       forest.children().size_bytes());
   emit(layout.leaf_value, forest.leaf_values().data(),
        forest.leaf_values().size_bytes());
   emit(layout.tree_root, forest.tree_roots().data(),
@@ -235,8 +213,8 @@ void save_artifact(const std::string& path, const CompiledForest& forest) {
   }
 }
 
-MappedModel::MappedModel(const std::string& path, InferenceBackend backend)
-    : path_(path), backend_(backend), file_(path) {
+MappedModel::MappedModel(const std::string& path)
+    : path_(path), file_(path) {
   // One shared parsing seam with the fuzz harness: header validation,
   // span binding, and the structural payload pass all live in
   // bind_artifact (an mmap base is page-aligned, so the alignment
@@ -250,20 +228,14 @@ MappedModel::MappedModel(const std::string& path, InferenceBackend backend)
 
 void MappedModel::predict_into(Matrix& raw_rows, RealVector& proba,
                                std::vector<int>& labels) const {
-  // Same scaling loop and traversal code paths as the in-memory
-  // artifacts, over spans into the mapping: bit-identical by
-  // construction.
+  // Same scaling loop and traversal as the in-memory CompiledForest,
+  // over spans into the mapping: bit-identical by construction.
   scale_rows(mean_, stddev_, raw_rows);
-  if (backend_ == InferenceBackend::kSimd) {
-    predict_flat_simd(flat_, raw_rows, proba, labels);
-  } else {
-    predict_flat_compiled(flat_, raw_rows, proba, labels);
-  }
+  predict_flat(flat_, raw_rows, proba, labels);
 }
 
-std::shared_ptr<const InferenceModel> load_artifact(const std::string& path,
-                                                    InferenceBackend backend) {
-  return std::make_shared<const MappedModel>(path, backend);
+std::shared_ptr<const InferenceModel> load_artifact(const std::string& path) {
+  return std::make_shared<const MappedModel>(path);
 }
 
 }  // namespace esl::ml

@@ -15,11 +15,8 @@
 //   ----- 64-byte aligned payload, arrays in this order -----
 //   feature      u32[node_count]
 //   threshold    Real[node_count]
-//   left         u32[node_count]
-//   right        u32[node_count]
-//   children     u32[2*node_count]   interleaved [left,right] pairs,
-//                                    pre-built so the SIMD traversal is
-//                                    also zero-copy from the mapping
+//   children     u32[2*node_count]   interleaved [left,right] pairs —
+//                                    the only copy of the topology
 //   leaf_value   Real[node_count]
 //   tree_root    u32[tree_count]
 //   tree_depth   u32[tree_count]
@@ -29,9 +26,9 @@
 // save_artifact writes the file (to a temp name, then rename, so a
 // registry replace is atomic); MappedModel mmaps it (platform/
 // mmap_file.hpp) and serves predict_into straight from the mapping —
-// bit-identical to the in-memory CompiledForest/SimdForest over the
-// same fitted forest, with zero steady-state allocations per call and
-// pages faulting in lazily on first traversal.
+// bit-identical to the in-memory CompiledForest over the same fitted
+// forest, with zero steady-state allocations per call and pages
+// faulting in lazily on first traversal.
 //
 // Trust model: an artifact file is the boundary between training and
 // serving processes — replicated between hosts, it is partially-trusted
@@ -39,11 +36,10 @@
 // passes before any traversal runs: validate(ArtifactHeader) rejects
 // truncated, foreign, or version-skewed files from the fixed prologue
 // alone, and validate_payload() makes one O(node_count) structural pass
-// over the arrays — every child / root index in range, interleaved
-// children consistent, feature ids within the header's declared bound,
-// per-tree depths within the declared maximum — so a hostile payload
-// behind a well-formed header cannot steer predict_flat_compiled /
-// predict_flat_simd outside the mapping (traversal itself is
+// over the arrays — every child / root index in range, feature ids
+// within the header's declared bound, per-tree depths within the
+// declared maximum — so a hostile payload behind a well-formed header
+// cannot steer predict_flat outside the mapping (traversal itself is
 // depth-bounded, so no payload can make it loop forever either). Both
 // passes run inside bind_artifact(), the single parsing seam MappedModel
 // and the fuzz harness (fuzz/fuzz_artifact.cpp) share.
@@ -62,8 +58,9 @@ namespace esl::ml {
 
 /// First 8 bytes of every artifact: "ESLFRST1" (little-endian u64).
 inline constexpr std::uint64_t k_artifact_magic = 0x31545352464C5345ull;
-/// Bumped on any layout change; readers reject other versions.
-inline constexpr std::uint32_t k_artifact_version = 1;
+/// Bumped on any layout change; readers reject other versions. Version 2
+/// dropped version 1's separate left/right arrays (children only).
+inline constexpr std::uint32_t k_artifact_version = 2;
 /// Byte-order tag as written by the producing host. A foreign-endian
 /// reader sees it permuted and rejects the file instead of mis-reading
 /// every array (artifacts are distributed, not converted).
@@ -100,8 +97,6 @@ static_assert(sizeof(ArtifactHeader) == 80, "artifact header layout drifted");
 struct ArtifactLayout {
   std::size_t feature = 0;
   std::size_t threshold = 0;
-  std::size_t left = 0;
-  std::size_t right = 0;
   std::size_t children = 0;
   std::size_t leaf_value = 0;
   std::size_t tree_root = 0;
@@ -124,10 +119,9 @@ void validate(const ArtifactHeader& header);
 void validate(const ArtifactHeader& header, std::size_t file_bytes);
 
 /// Structural validation of the payload arrays behind a valid header:
-/// every tree_root / left / right / children index addresses a real
-/// node, the interleaved children pairs agree with left/right, every
-/// feature id is <= header.max_feature (what the predict entry points
-/// bound row width against), and every tree_depth is <= header.max_depth.
+/// every tree_root / children index addresses a real node, every
+/// feature id is <= header.max_feature (what predict_flat bounds row
+/// width against), and every tree_depth is <= header.max_depth.
 /// One O(node_count) pass, run once per open — traversal itself stays
 /// check-free. Throws InvalidArgument (literal messages) on violation.
 void validate_payload(const ArtifactHeader& header, const FlatForest& forest);
@@ -163,10 +157,10 @@ void save_artifact(const std::string& path, const CompiledForest& forest);
 /// Construction maps the file, validates the header, and aims the
 /// FlatForest spans into the mapping; no array is copied or even
 /// touched, so "loading" a model is O(header) and pages fault in lazily
-/// as traversal first needs them. predict_into is bit-identical to the
-/// in-memory CompiledForest (kCompiled) or SimdForest (kSimd) built
-/// from the same fitted forest, and allocates nothing once the caller's
-/// scratch is warm.
+/// as traversal first needs them. predict_into runs the same
+/// predict_flat as the in-memory CompiledForest built from the same
+/// fitted forest — bit-identical — and allocates nothing once the
+/// caller's scratch is warm.
 ///
 /// Lifetime: the mapping lives inside this object. Sessions holding the
 /// model via shared_ptr (Engine slots, ModelRegistry cache) keep the
@@ -174,22 +168,16 @@ void save_artifact(const std::string& path, const CompiledForest& forest);
 /// while mapped — the old pages stay valid until the last holder drops.
 class MappedModel final : public InferenceModel {
  public:
-  /// Maps `path` read-only. `backend` picks the traversal flavor over
-  /// the mapped arrays — the same enum RealtimeDetector::compile /
-  /// ml::compile use, so callers choose flavor in exactly one place.
-  explicit MappedModel(const std::string& path,
-                       InferenceBackend backend = InferenceBackend::kCompiled);
+  /// Maps `path` read-only.
+  explicit MappedModel(const std::string& path);
 
-  const char* name() const override {
-    return backend_ == InferenceBackend::kSimd ? "mapped+simd" : "mapped";
-  }
+  const char* name() const override { return "mapped"; }
   std::size_t tree_count() const override { return header_.tree_count; }
   void predict_into(Matrix& raw_rows, RealVector& proba,
                     std::vector<int>& labels) const override;
 
   const ArtifactHeader& header() const { return header_; }
   const std::string& path() const { return path_; }
-  InferenceBackend backend() const { return backend_; }
   std::size_t node_count() const { return header_.node_count; }
   /// Borrowed views straight into the mapping (valid while *this lives).
   const FlatForest& flat() const { return flat_; }
@@ -198,7 +186,6 @@ class MappedModel final : public InferenceModel {
 
  private:
   std::string path_;
-  InferenceBackend backend_;
   platform::MappedFile file_;
   ArtifactHeader header_;
   FlatForest flat_;  // spans into file_.bytes()
@@ -208,8 +195,6 @@ class MappedModel final : public InferenceModel {
 
 /// Convenience: map `path` behind the InferenceModel seam (what
 /// ModelRegistry::open returns).
-std::shared_ptr<const InferenceModel> load_artifact(
-    const std::string& path,
-    InferenceBackend backend = InferenceBackend::kCompiled);
+std::shared_ptr<const InferenceModel> load_artifact(const std::string& path);
 
 }  // namespace esl::ml

@@ -30,8 +30,7 @@ CompiledForest::CompiledForest(const RandomForest& forest, RowScaler scaler)
 
   feature_.reserve(total_nodes);
   threshold_.reserve(total_nodes);
-  left_.reserve(total_nodes);
-  right_.reserve(total_nodes);
+  children_.reserve(2 * total_nodes);
   leaf_value_.reserve(total_nodes);
   tree_root_.reserve(forest.tree_count());
   tree_depth_.reserve(forest.tree_count());
@@ -50,15 +49,15 @@ CompiledForest::CompiledForest(const RandomForest& forest, RowScaler scaler)
         // false against everything) stays here via right.
         feature_.push_back(0);
         threshold_.push_back(std::numeric_limits<Real>::infinity());
-        left_.push_back(self);
-        right_.push_back(self);
+        children_.push_back(self);
+        children_.push_back(self);
       } else {
         feature_.push_back(static_cast<std::uint32_t>(node.feature));
         max_feature_ =
             std::max(max_feature_, static_cast<std::uint32_t>(node.feature));
         threshold_.push_back(node.threshold);
-        left_.push_back(base + static_cast<std::uint32_t>(node.left));
-        right_.push_back(base + static_cast<std::uint32_t>(node.right));
+        children_.push_back(base + static_cast<std::uint32_t>(node.left));
+        children_.push_back(base + static_cast<std::uint32_t>(node.right));
       }
       leaf_value_.push_back(node.positive_fraction);
     }
@@ -69,8 +68,7 @@ FlatForest CompiledForest::view() const {
   FlatForest view;
   view.feature = feature_;
   view.threshold = threshold_;
-  view.left = left_;
-  view.right = right_;
+  view.children = children_;
   view.leaf_value = leaf_value_;
   view.tree_root = tree_root_;
   view.tree_depth = tree_depth_;
@@ -82,14 +80,14 @@ FlatForest CompiledForest::view() const {
 void CompiledForest::predict_into(Matrix& raw_rows, RealVector& proba,
                                   std::vector<int>& labels) const {
   scaler_.apply(raw_rows);
-  predict_flat_compiled(view(), raw_rows, proba, labels);
+  predict_flat(view(), raw_rows, proba, labels);
 }
 
-void predict_flat_compiled(const FlatForest& forest, const Matrix& rows_in,
-                           RealVector& proba, std::vector<int>& labels) {
+void predict_flat(const FlatForest& forest, const Matrix& rows_in,
+                  RealVector& proba, std::vector<int>& labels) {
   const std::size_t rows = rows_in.rows();
   expects(rows == 0 || forest.max_feature < rows_in.cols(),
-          "predict_flat_compiled: rows too narrow");
+          "predict_flat: rows too narrow");
   proba.assign(rows, 0.0);
   labels.resize(rows);
   if (rows == 0) {
@@ -100,8 +98,7 @@ void predict_flat_compiled(const FlatForest& forest, const Matrix& rows_in,
   const std::size_t stride = rows_in.cols();
   const std::uint32_t* feature = forest.feature.data();
   const Real* threshold = forest.threshold.data();
-  const std::uint32_t* left = forest.left.data();
-  const std::uint32_t* right = forest.right.data();
+  const std::uint32_t* children = forest.children.data();
   const Real* leaf_value = forest.leaf_value.data();
 
   std::uint32_t node[k_block];
@@ -118,10 +115,13 @@ void predict_flat_compiled(const FlatForest& forest, const Matrix& rows_in,
         for (std::size_t i = 0; i < block; ++i) {
           // Branch-light select over flat arrays: rows already parked on
           // a leaf self-loop, so the level loop never needs an exit test.
-          const std::uint32_t cur = node[i];
+          // (The branch-free children[2*cur + !(v <= t)] form is faster
+          // only at batches of hundreds of rows and up to 2x slower at
+          // batch 1, which is what per-session polls serve.)
+          const std::size_t cur = node[i];
           node[i] = block_rows[i * stride + feature[cur]] <= threshold[cur]
-                        ? left[cur]
-                        : right[cur];
+                        ? children[2 * cur]
+                        : children[2 * cur + 1];
         }
       }
       for (std::size_t i = 0; i < block; ++i) {

@@ -5,14 +5,13 @@
 // classifies by hopping node indices through scattered records — fine for
 // a wearable classifying one window, wasteful for a service classifying
 // a fleet's batch. CompiledForest is a one-time flattening pass: the
-// whole ensemble becomes per-forest feature[], threshold[], left[]/
-// right[] and leaf_value[] arrays with all trees packed back-to-back,
-// and predict_into traverses batch-major — a block of rows advances
-// through one tree level by level, so the inner loop is a branch-light
-// gather/select over flat arrays that the compiler can auto-vectorize
-// (build with ESL_NATIVE=ON for -march=native codegen). Leaves are
-// encoded as self-loops, so a block runs a fixed per-tree level count
-// with no per-row early-exit branch.
+// whole ensemble becomes per-forest feature[], threshold[], children[]
+// and leaf_value[] arrays with all trees packed back-to-back, and
+// predict_into traverses tree-major in row blocks — a block of rows
+// advances through one tree level by level, so the inner loop is a
+// branch-light select over flat arrays. Leaves are encoded as
+// self-loops, so a block runs a fixed per-tree level count with no
+// per-row early-exit branch.
 //
 // Parity contract: per row, trees accumulate in the same order and with
 // the same final division by tree_count as RandomForest::predict_proba /
@@ -26,8 +25,10 @@
 // Layout contract (the single source of truth shared with the on-disk
 // artifact writer/mapper in ml/artifact.hpp):
 //   * one entry per node, all trees back-to-back in ensemble order;
-//     children are absolute node indices into the same arrays;
-//   * leaves self-loop (left == right == self, feature 0, threshold
+//   * the topology is stored once, as interleaved child pairs:
+//     children[2*n] is node n's left child, children[2*n + 1] its right,
+//     both absolute node indices into the same arrays;
+//   * leaves self-loop (both children == self, feature 0, threshold
 //     +inf), so traversal runs a fixed per-tree level count with no
 //     is_leaf branch, and NaN feature values go right (compare false);
 //   * leaf_value[n] holds every node's positive fraction but is only
@@ -50,21 +51,16 @@
 
 namespace esl::ml {
 
-/// Borrowed view of one flattened ensemble — the traversal contract all
-/// execution strategies share. CompiledForest::view() borrows from its
-/// owned vectors, SimdForest adds its interleaved child pairs, and
+/// Borrowed view of one flattened ensemble — what predict_flat
+/// traverses. CompiledForest::view() borrows from its owned vectors and
 /// MappedModel (ml/artifact.hpp) points every span straight into an
-/// mmap'd artifact; predict_flat_compiled / predict_flat_simd then run
-/// identically over any of them. The view owns nothing: whoever holds
-/// the arrays must outlive it.
+/// mmap'd artifact, so both run the same traversal. The view owns
+/// nothing: whoever holds the arrays must outlive it.
 struct FlatForest {
   std::span<const std::uint32_t> feature;
   std::span<const Real> threshold;
-  std::span<const std::uint32_t> left;
-  std::span<const std::uint32_t> right;
   /// Interleaved pairs: children[2*n + 0] = left, children[2*n + 1] =
-  /// right. Required by predict_flat_simd (one gather instead of two +
-  /// blend); empty when only the compiled traversal will run.
+  /// right (2 * node_count entries).
   std::span<const std::uint32_t> children;
   std::span<const Real> leaf_value;
   std::span<const std::uint32_t> tree_root;
@@ -76,20 +72,14 @@ struct FlatForest {
   std::size_t tree_count() const { return tree_root.size(); }
 };
 
-/// Batch-major blocked scalar traversal (CompiledForest's strategy) over
-/// any flat view: `rows` must already be z-scored. Overwrites
+/// The one forest traversal: tree-major, in blocks of rows, over any
+/// flat view. `rows` must already be z-scored. Overwrites
 /// `proba`/`labels` (resized; reused scratch allocates nothing warm).
 /// Per row, trees accumulate in ensemble order with one final division
 /// by tree_count, so outputs are bit-identical to
 /// RandomForest::predict_all_into on the source ensemble.
-void predict_flat_compiled(const FlatForest& forest, const Matrix& rows,
-                           RealVector& proba, std::vector<int>& labels);
-
-/// Explicit-SIMD traversal (SimdForest's strategy) through the
-/// kernels:: dispatch seam; requires `forest.children`. Bit-identical to
-/// predict_flat_compiled at every dispatch level.
-void predict_flat_simd(const FlatForest& forest, const Matrix& rows,
-                       RealVector& proba, std::vector<int>& labels);
+void predict_flat(const FlatForest& forest, const Matrix& rows,
+                  RealVector& proba, std::vector<int>& labels);
 
 class CompiledForest final : public InferenceModel {
  public:
@@ -112,18 +102,16 @@ class CompiledForest final : public InferenceModel {
   /// Widest feature index any split reads (rows must be wider).
   std::uint32_t max_feature() const { return max_feature_; }
 
-  /// The borrowed traversal view over this artifact's arrays (children
-  /// left empty — build them only when the SIMD traversal needs them).
+  /// The borrowed traversal view over this artifact's arrays.
   FlatForest view() const;
 
-  // Read-only views of the flat arrays, in flattening order. This is the
-  // seam other execution strategies build on (ml::SimdForest's pack
-  // traversal, ml/artifact.hpp's on-disk serialization): one flattening
-  // pass, many traversals. All accessors return spans — never copies.
+  // Read-only views of the flat arrays, in flattening order — what
+  // ml/artifact.hpp's on-disk serialization streams out. All accessors
+  // return spans — never copies.
   std::span<const std::uint32_t> features() const { return feature_; }
   std::span<const Real> thresholds() const { return threshold_; }
-  std::span<const std::uint32_t> left_children() const { return left_; }
-  std::span<const std::uint32_t> right_children() const { return right_; }
+  /// Interleaved child pairs: [2*n] = left, [2*n + 1] = right.
+  std::span<const std::uint32_t> children() const { return children_; }
   std::span<const Real> leaf_values() const { return leaf_value_; }
   std::span<const std::uint32_t> tree_roots() const { return tree_root_; }
   std::span<const std::uint32_t> tree_depths() const { return tree_depth_; }
@@ -134,14 +122,14 @@ class CompiledForest final : public InferenceModel {
   std::size_t max_depth_ = 0;
   std::uint32_t max_feature_ = 0;
 
-  // One entry per node, all trees back-to-back. Children are absolute
-  // node indices; leaves self-loop (left == right == self, threshold
-  // +inf) so traversal needs no is_leaf branch. leaf_value_ holds every
-  // node's positive fraction but is only read once a row parks on a leaf.
+  // One entry per node (two in children_), all trees back-to-back.
+  // Children are absolute node indices; leaves self-loop (both children
+  // == self, threshold +inf) so traversal needs no is_leaf branch.
+  // leaf_value_ holds every node's positive fraction but is only read
+  // once a row parks on a leaf.
   std::vector<std::uint32_t> feature_;
   RealVector threshold_;
-  std::vector<std::uint32_t> left_;
-  std::vector<std::uint32_t> right_;
+  std::vector<std::uint32_t> children_;
   RealVector leaf_value_;
 
   std::vector<std::uint32_t> tree_root_;

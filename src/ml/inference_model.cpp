@@ -1,8 +1,6 @@
 #include "ml/inference_model.hpp"
 
 #include "common/error.hpp"
-#include "ml/compiled_forest.hpp"
-#include "ml/simd_forest.hpp"
 
 namespace esl::ml {
 
@@ -37,17 +35,6 @@ void RowScaler::apply_row(std::span<const Real> raw,
     const Real centered = raw[f] - m[f];
     out[f] = s[f] > 0.0 ? centered / s[f] : 0.0;
   }
-}
-
-std::shared_ptr<const InferenceModel> compile(const RandomForest& forest,
-                                              RowScaler scaler,
-                                              InferenceBackend backend) {
-  auto flat =
-      std::make_shared<const CompiledForest>(forest, std::move(scaler));
-  if (backend == InferenceBackend::kSimd) {
-    return std::make_shared<const SimdForest>(std::move(flat));
-  }
-  return flat;
 }
 
 ForestModel::ForestModel(std::shared_ptr<const RandomForest> forest,

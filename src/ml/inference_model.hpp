@@ -6,8 +6,7 @@
 // itself — behind a single predict_into call over raw feature rows. That
 // makes fleet models, freshly retrained personal detectors, and compiled
 // artifacts (compiled_forest.hpp) interchangeable, shareable across
-// shards, and hot-swappable mid-stream (DetectionService::swap_model);
-// SIMD or GPU execution plugs in as just another implementation.
+// shards, and hot-swappable mid-stream (DetectionService::swap_model).
 #pragma once
 
 #include <memory>
@@ -43,15 +42,6 @@ struct RowScaler {
 void scale_rows(std::span<const Real> mean, std::span<const Real> stddev,
                 Matrix& raw_rows);
 
-/// Execution strategy for a deployable artifact built from a fitted
-/// forest (RealtimeDetector::compile picks the implementation):
-///  * kCompiled — CompiledForest's flat batch-major traversal, relying
-///    on the compiler's auto-vectorization (ESL_NATIVE=ON);
-///  * kSimd — SimdForest's explicit pack traversal through the runtime-
-///    dispatched kernels:: seam (AVX2 hardware gathers when available).
-/// Both are bit-identical to the node-hopping interpreter.
-enum class InferenceBackend { kCompiled, kSimd };
-
 /// Immutable deployable model — the only interface the engine calls for
 /// prediction. Implementations hold no mutable state, so a fitted model
 /// may be shared read-only across shards and their worker threads.
@@ -70,17 +60,6 @@ class InferenceModel {
   virtual void predict_into(Matrix& raw_rows, RealVector& proba,
                             std::vector<int>& labels) const = 0;
 };
-
-/// The one factory seam for deployable artifacts built from a fitted
-/// forest: flattens `forest` once (scaler baked in) and wraps it in the
-/// chosen execution strategy — kCompiled returns the flat CompiledForest
-/// itself, kSimd wraps it in SimdForest's pack traversal. Every caller
-/// that picks a flavor (RealtimeDetector::compile, the on-disk
-/// ModelRegistry's mapped loads, benches) routes through this enum in
-/// exactly one place; all backends classify bit-identically.
-std::shared_ptr<const InferenceModel> compile(const RandomForest& forest,
-                                              RowScaler scaler,
-                                              InferenceBackend backend);
 
 /// Thin adapter: an InferenceModel over a fitted RandomForest (shared,
 /// immutable) plus the scaler it was trained with. This is the baseline

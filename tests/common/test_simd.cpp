@@ -2,8 +2,8 @@
 //
 // The kernel suites prove end-to-end parity; these pin the individual
 // pack operations — load/store/broadcast, arithmetic, the unfused fma,
-// compare/select masks (including NaN semantics), gather-lite and the
-// interleaved-pair shuffles — at every width the abstraction ships
+// compare/select masks (including NaN semantics) and the interleaved-pair
+// shuffles — at every width the abstraction ships
 // (1, 2, 4), so a miscompiled shuffle or mask can't hide behind a
 // coincidentally-correct kernel.
 #include "common/simd.hpp"
@@ -49,8 +49,7 @@ void expect_pack_ops() {
     EXPECT_EQ(fma(a, b, c).lane(i), input_a[i] * input_b[i] + 7.0);
   }
 
-  // le / select, including the NaN-compares-false contract the forest
-  // traversal relies on (NaN rows must go right).
+  // le / select, including the NaN-compares-false contract of scalar <=.
   Real with_nan[W];
   for (int i = 0; i < W; ++i) {
     with_nan[i] = input_a[i];
@@ -65,14 +64,6 @@ void expect_pack_ops() {
   const P picked = select(mask, a, c);
   for (int i = 0; i < W; ++i) {
     EXPECT_EQ(picked.lane(i), mask.lane(i) ? input_a[i] : 7.0);
-  }
-
-  // gather-lite.
-  const Real table[] = {10.0, 11.0, 12.0, 13.0, 14.0, 15.0};
-  const std::uint32_t idx[] = {5, 0, 3, 1};
-  const P gathered = P::gather(table, idx);
-  for (int i = 0; i < W; ++i) {
-    EXPECT_EQ(gathered.lane(i), table[idx[i]]);
   }
 }
 

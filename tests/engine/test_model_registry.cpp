@@ -264,11 +264,9 @@ class RegistryServiceTest : public ::testing::Test {
                                              record.sample_rate_hz()));
   }
 
-  static RegistryConfig registry_config(
-      ml::InferenceBackend backend = ml::InferenceBackend::kCompiled) {
+  static RegistryConfig registry_config() {
     RegistryConfig config;
     config.directory = *directory_;
-    config.backend = backend;
     return config;
   }
 
@@ -382,9 +380,10 @@ TEST_F(RegistryServiceTest, SwapFromDiskAtABoundaryMatchesTheReference) {
 
 TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
   // The fleet redeploy headline: while worker threads ingest, a swapper
-  // thread relentlessly deploys from disk (both traversal flavors and
-  // back to the fleet model), and a trainer thread keeps replacing the
-  // artifact file (atomic rename) and refresh()ing both registries.
+  // thread relentlessly deploys from disk (through two independent
+  // registry caches over one directory, and back to the fleet model), and
+  // a trainer thread keeps replacing the artifact file (atomic rename)
+  // and refresh()ing both registries.
   // Every artifact written holds the same fleet forest, so whatever
   // interleaving of saves, remaps, and swaps lands, the detections must
   // equal the plain single-Engine reference — and TSan proves the
@@ -401,9 +400,8 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
     handles.push_back(service.create_session(s, SessionConfig{}));
   }
 
-  const ModelRegistry compiled_registry(registry_config());
-  const ModelRegistry simd_registry(
-      registry_config(ml::InferenceBackend::kSimd));
+  const ModelRegistry registry(registry_config());
+  const ModelRegistry second_registry(registry_config());
   const auto fleet_artifact = *(*fleet_)->compile();
 
   std::atomic<bool> stop{false};
@@ -413,10 +411,10 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
       for (const SessionHandle& handle : handles) {
         switch (next++ % 3) {
           case 0:
-            service.swap_model(handle, compiled_registry, "fleet");
+            service.swap_model(handle, registry, "fleet");
             break;
           case 1:
-            service.swap_model(handle, simd_registry, "fleet");
+            service.swap_model(handle, second_registry, "fleet");
             break;
           default:
             service.swap_model(handle, nullptr);
@@ -428,8 +426,8 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
   std::thread trainer([&] {
     while (!stop.load()) {
       ml::save_artifact(*directory_ + "/fleet.eslm", fleet_artifact);
-      compiled_registry.refresh();
-      simd_registry.refresh();
+      registry.refresh();
+      second_registry.refresh();
       std::this_thread::yield();
     }
   });

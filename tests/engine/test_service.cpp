@@ -592,13 +592,11 @@ TEST_F(ServiceTest, HotSwapUnderContinuousIngestPreservesParity) {
     handles.push_back(service.create_session(s, SessionConfig{}));
   }
 
-  // Rotate through every execution strategy: the flat compiled artifact,
-  // its explicit-SIMD pack traversal, and nullptr (back to the fleet
-  // ForestModel). All three classify bit-identically, so parity must
+  // Rotate between the flat compiled artifact and nullptr (back to the
+  // fleet ForestModel). Both classify bit-identically, so parity must
   // survive any interleaving of deploys.
   const std::vector<std::shared_ptr<const ml::InferenceModel>> deploys = {
       (*fleet_)->compile(),
-      (*fleet_)->compile(ml::InferenceBackend::kSimd),
       nullptr,
   };
   std::atomic<bool> stop_swapping{false};
@@ -658,16 +656,27 @@ TEST_F(ServiceTest, FlushCompletesWhileProducersKeepStreaming) {
                            std::make_unique<ThreadPoolBackend>());
   const SessionHandle handle = service.create_session();
   const std::size_t samples = stream_samples(*background_record_);
+  const SessionConfig session;
+  const auto window_samples = static_cast<std::size_t>(
+      session.window_seconds * session.sample_rate_hz);
+  const std::size_t window_chunks = (window_samples + k_chunk - 1) / k_chunk;
 
   std::atomic<bool> stop_producing{false};
+  std::atomic<std::size_t> chunks_pushed{0};
   std::thread producer([&] {
     std::size_t offset = 0;
     while (!stop_producing.load()) {
       service.ingest(handle,
                      chunk_views(*background_record_, offset, k_chunk));
+      chunks_pushed.fetch_add(1);
       offset = (offset + k_chunk) % (samples - k_chunk);
     }
   });
+  // The first flush below must already cover a whole window, so the
+  // classified count cannot depend on how the producer is scheduled.
+  while (chunks_pushed.load() < window_chunks) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 25; ++i) {
     service.flush();  // would deadlock (-> ctest timeout) if the barrier
                       // required a momentarily-empty queue

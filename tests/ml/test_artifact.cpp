@@ -1,14 +1,14 @@
 // Artifact round-trip, rejection, and zero-copy serving suites.
 //
 // The on-disk artifact (ml/artifact.hpp) must reproduce the in-memory
-// CompiledForest/SimdForest bit for bit after a save -> mmap round trip
-// — across depths, degenerate ensembles, a baked scaler, and batch
-// sizes straddling both traversal blocks — and reject truncated,
-// tampered, version-skewed, or foreign-endian files with
-// InvalidArgument before touching any array. The warm mapped
-// predict_into path must also allocate nothing, since the engine drives
-// it per polled batch. (The counting allocator for this binary is
-// defined in test_simd_forest.cpp.)
+// CompiledForest bit for bit after a save -> mmap round trip — across
+// depths, degenerate ensembles, a baked scaler, and batch sizes
+// straddling the traversal block — and reject truncated, tampered,
+// version-skewed, or foreign-endian files with InvalidArgument before
+// touching any array. The warm mapped predict_into path must also
+// allocate nothing, since the engine drives it per polled batch. (The
+// counting allocator for this binary is defined in
+// test_compiled_forest.cpp.)
 //
 // Cross-process reuse: the CrossProcessSave / CrossProcessLoad pair is
 // gated on ESL_ARTIFACT_CROSS_DIR — CI runs Save and Load in separate
@@ -29,18 +29,11 @@
 #include <vector>
 
 #include "../support/alloc_counter.hpp"
-#include "../support/simd_level.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "ml/dataset.hpp"
-#include "ml/simd_forest.hpp"
 
 namespace esl::ml {
 namespace {
-
-using kernels::SimdLevel;
-using LevelGuard = esl::testing::SimdLevelGuard;
-using esl::testing::supported_simd_levels;
 
 /// Noisy labels and tied feature values grow bushy trees with duplicate
 /// thresholds and no-split leaves at many depths.
@@ -61,9 +54,8 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-/// Saves `compiled` and asserts both mapped backends reproduce the
-/// in-memory CompiledForest and SimdForest bit for bit on `raw` (at
-/// every SIMD dispatch level the host supports).
+/// Saves `compiled` and asserts the mapped model reproduces the
+/// in-memory CompiledForest bit for bit on `raw`.
 void expect_round_trip_parity(const CompiledForest& compiled,
                               const Matrix& raw, const std::string& path) {
   save_artifact(path, compiled);
@@ -82,25 +74,13 @@ void expect_round_trip_parity(const CompiledForest& compiled,
   EXPECT_EQ(proba, proba_reference);  // bit-identical, no tolerance
   EXPECT_EQ(labels, labels_reference);
   EXPECT_EQ(scratch, reference_scratch);  // same in-place scaling
-
-  LevelGuard guard;
-  const MappedModel mapped_simd(path, InferenceBackend::kSimd);
-  for (const SimdLevel level : supported_simd_levels()) {
-    SCOPED_TRACE(kernels::level_name(level));
-    kernels::set_active_level(level);
-    Matrix simd_scratch = raw;
-    mapped_simd.predict_into(simd_scratch, proba, labels);
-    EXPECT_EQ(proba, proba_reference);
-    EXPECT_EQ(labels, labels_reference);
-    EXPECT_EQ(simd_scratch, reference_scratch);
-  }
 }
 
 TEST(Artifact, LayoutIsCacheAlignedAndSized) {
   const ArtifactLayout layout = artifact_layout(1000, 32, 108);
   for (const std::size_t offset :
-       {layout.feature, layout.threshold, layout.left, layout.right,
-        layout.children, layout.leaf_value, layout.tree_root,
+       {layout.feature, layout.threshold, layout.children,
+        layout.leaf_value, layout.tree_root,
         layout.tree_depth, layout.scaler_mean, layout.scaler_stddev,
         layout.total_bytes}) {
     EXPECT_EQ(offset % k_artifact_alignment, 0u);
@@ -108,8 +88,10 @@ TEST(Artifact, LayoutIsCacheAlignedAndSized) {
   EXPECT_GT(layout.total_bytes, sizeof(ArtifactHeader));
   // Arrays appear in format order and never overlap.
   EXPECT_LT(layout.feature, layout.threshold);
-  EXPECT_LT(layout.threshold, layout.left);
-  EXPECT_GE(layout.left - layout.threshold, 1000 * sizeof(Real));
+  EXPECT_LT(layout.threshold, layout.children);
+  EXPECT_GE(layout.children - layout.threshold, 1000 * sizeof(Real));
+  EXPECT_GE(layout.leaf_value - layout.children,
+            2 * 1000 * sizeof(std::uint32_t));
   EXPECT_GE(layout.total_bytes - layout.scaler_stddev, 108 * sizeof(Real));
 }
 
@@ -123,8 +105,8 @@ TEST(Artifact, RoundTripParityAcrossDepthsAndBlockBoundaryBatches) {
     const CompiledForest compiled(forest);
     const std::string path =
         temp_path("round_trip_" + std::to_string(depth) + ".eslm");
-    // Batch sizes straddling the 16-row compiled block and the 32-row
-    // AVX2 gather block: partial packs, exact blocks, multi-block.
+    // Batch sizes around the 16-row traversal block and its multiples:
+    // partial blocks, exact blocks, multi-block.
     for (const std::size_t rows : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 257u}) {
       SCOPED_TRACE("rows " + std::to_string(rows));
       expect_round_trip_parity(compiled, noisy(rows, depth + 50).x, path);
@@ -196,8 +178,6 @@ TEST(Artifact, HeaderIntrospectionMatchesSourceForest) {
   EXPECT_EQ(header.decision_threshold, compiled.decision_threshold());
   EXPECT_EQ(mapped.tree_count(), compiled.tree_count());
   EXPECT_STREQ(mapped.name(), "mapped");
-  EXPECT_STREQ(MappedModel(path, InferenceBackend::kSimd).name(),
-               "mapped+simd");
   EXPECT_EQ(mapped.path(), path);
 
   // The flat views point into the mapping and mirror the source arrays.
@@ -312,10 +292,17 @@ TEST_F(ArtifactCorruption, RejectsFlippedMagic) {
 }
 
 TEST_F(ArtifactCorruption, RejectsWrongVersion) {
-  std::vector<char> bytes = read_file();
-  bytes[8] += 1;  // version is the u32 right after the magic
-  write_file(bytes);
-  EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+  const std::vector<char> original = read_file();
+  // A future version, and version 1 (separate left/right arrays): a file
+  // written before the current layout is rejected, never reinterpreted.
+  for (const std::uint32_t version : {k_artifact_version + 1, 1u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<char> bytes = original;
+    // version is the u32 right after the magic
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    write_file(bytes);
+    EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+  }
 }
 
 TEST_F(ArtifactCorruption, RejectsForeignEndianness) {
@@ -377,8 +364,6 @@ class ArtifactPayloadTamper : public ArtifactCorruption {
     std::memcpy(bytes.data() + byte_offset, &value, sizeof(value));
     write_file(bytes);
     EXPECT_THROW(MappedModel{path_}, InvalidArgument);
-    EXPECT_THROW((MappedModel{path_, InferenceBackend::kSimd}),
-                 InvalidArgument);
     write_file(original);  // restore for the next tamper
   }
 
@@ -395,26 +380,15 @@ TEST_F(ArtifactPayloadTamper, RejectsTreeRootPastTheNodeArrays) {
 }
 
 TEST_F(ArtifactPayloadTamper, RejectsChildIndicesPastTheNodeArrays) {
-  // left[0] and right[0] out of range (the interleave-consistency check
-  // also fires, but range is what keeps traversal inside the mapping).
-  expect_rejects_u32(layout().left, node_count());
-  expect_rejects_u32(layout().right, ~std::uint32_t{0});
-}
-
-TEST_F(ArtifactPayloadTamper, RejectsInterleavedChildrenMismatch) {
-  // Valid index, but children[0] no longer mirrors left[0]: the scalar
-  // and SIMD traversals would silently diverge on the same bytes.
-  const std::vector<char> bytes = read_file();
-  std::uint32_t left0 = 0;
-  std::memcpy(&left0, bytes.data() + layout().left, sizeof(left0));
-  expect_rejects_u32(layout().children, left0 + 1 < node_count()
-                                            ? left0 + 1
-                                            : left0 - 1);
+  // children[0] (node 0's left) and children[1] (its right) out of range.
+  expect_rejects_u32(layout().children, node_count());
+  expect_rejects_u32(layout().children + sizeof(std::uint32_t),
+                     ~std::uint32_t{0});
 }
 
 TEST_F(ArtifactPayloadTamper, RejectsFeatureIdPastTheDeclaredMaximum) {
   // predict bounds row width against header.max_feature; a bigger id in
-  // the array would gather outside the batch rows.
+  // the array would read outside the batch rows.
   std::uint32_t max_feature = 0;
   {
     const std::vector<char> bytes = read_file();
@@ -476,7 +450,7 @@ TEST(BindArtifact, BindsAValidBufferWithoutAFile) {
   scale_rows(view.scaler_mean, view.scaler_stddev, bound_rows);
   RealVector proba;
   std::vector<int> labels;
-  predict_flat_compiled(view.forest, bound_rows, proba, labels);
+  predict_flat(view.forest, bound_rows, proba, labels);
   EXPECT_EQ(proba, proba_reference);
   EXPECT_EQ(labels, labels_reference);
 }
@@ -497,35 +471,23 @@ TEST(BindArtifact, RejectsShortAndEmptyBuffers) {
 TEST(MappedModel, WarmPredictIntoIsAllocationFree) {
   // The engine polls predict_into once per batch on the streaming hot
   // path: after the first (sizing) call, repeated mapped predictions on
-  // reused scratch must not touch the heap — for either traversal
-  // flavor, at any dispatch level.
+  // reused scratch must not touch the heap.
   RandomForest forest;
   forest.fit(noisy(200, 71), 3);
   const std::string path = temp_path("zero_alloc.eslm");
   save_artifact(path, CompiledForest(forest));
-  const Matrix rows = noisy(64, 72).x;
-
-  LevelGuard guard;
-  for (const InferenceBackend backend :
-       {InferenceBackend::kCompiled, InferenceBackend::kSimd}) {
-    const MappedModel mapped(path, backend);
-    SCOPED_TRACE(mapped.name());
-    Matrix scratch = rows;
-    RealVector proba;
-    std::vector<int> labels;
-    for (const SimdLevel level : supported_simd_levels()) {
-      SCOPED_TRACE(kernels::level_name(level));
-      kernels::set_active_level(level);
-      for (int warm = 0; warm < 3; ++warm) {
-        mapped.predict_into(scratch, proba, labels);
-      }
-      const std::size_t before = esl::testing::allocation_count();
-      for (int i = 0; i < 10; ++i) {
-        mapped.predict_into(scratch, proba, labels);
-      }
-      EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
-    }
+  const MappedModel mapped(path);
+  Matrix scratch = noisy(64, 72).x;
+  RealVector proba;
+  std::vector<int> labels;
+  for (int warm = 0; warm < 3; ++warm) {
+    mapped.predict_into(scratch, proba, labels);
   }
+  const std::size_t before = esl::testing::allocation_count();
+  for (int i = 0; i < 10; ++i) {
+    mapped.predict_into(scratch, proba, labels);
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
 }
 
 // ----------------------------------------------------- cross-process CI

@@ -4,8 +4,11 @@
 
 #include <cmath>
 
+#include "../support/alloc_counter.hpp"
 #include "common/error.hpp"
 #include "ml/dataset.hpp"
+
+ESL_DEFINE_COUNTING_ALLOCATOR();
 
 namespace esl::ml {
 namespace {
@@ -232,6 +235,159 @@ TEST(CompiledForest, RejectsUnfittedForestAndNarrowRows) {
   RealVector proba;
   std::vector<int> labels;
   EXPECT_THROW(compiled.predict_into(narrow, proba, labels), InvalidArgument);
+}
+
+TEST(CompiledForest, WarmPredictIntoIsAllocationFree) {
+  // The engine polls predict_into once per batch on the streaming hot
+  // path: after the first (sizing) call, repeated predictions on reused
+  // scratch must not touch the heap.
+  RandomForest forest;
+  forest.fit(noisy(200, 51), 3);
+  const CompiledForest compiled(forest);
+  Matrix scratch = noisy(64, 52).x;
+  RealVector proba;
+  std::vector<int> labels;
+  for (int warm = 0; warm < 3; ++warm) {
+    compiled.predict_into(scratch, proba, labels);
+  }
+  const std::size_t before = esl::testing::allocation_count();
+  for (int i = 0; i < 10; ++i) {
+    compiled.predict_into(scratch, proba, labels);
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
+}
+
+/// Asserts the free predict_flat over CompiledForest::view() — the one
+/// traversal CompiledForest and MappedModel both run — reproduces the
+/// node-hop interpreter bit for bit on already-scaled `rows`.
+void expect_flat_parity(const RandomForest& forest, const Matrix& rows) {
+  RealVector proba_interpreter;
+  std::vector<int> labels_interpreter;
+  forest.predict_all_into(rows, proba_interpreter, labels_interpreter);
+
+  const CompiledForest compiled(forest);
+  RealVector proba;
+  std::vector<int> labels;
+  predict_flat(compiled.view(), rows, proba, labels);
+  EXPECT_EQ(proba, proba_interpreter);  // bit-identical, no tolerance
+  EXPECT_EQ(labels, labels_interpreter);
+}
+
+TEST(PredictFlat, RandomizedParityAcrossBlockBoundaryBatches) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomForest forest;  // default config: 32 trees, depth 16
+    forest.fit(noisy(300, seed), seed);
+    // Batch sizes straddling the 16-row traversal block and its
+    // multiples: partial blocks, exact blocks, and a large multi-block
+    // batch.
+    for (const std::size_t rows : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 1024u}) {
+      SCOPED_TRACE("rows " + std::to_string(rows));
+      expect_flat_parity(forest, noisy(rows, seed + 100).x);
+    }
+  }
+}
+
+TEST(PredictFlat, DepthSweepStaysBitIdentical) {
+  // Noisy labels fill every level up to the cap with bushy trees.
+  for (const std::size_t depth : {1u, 2u, 4u, 8u, 16u}) {
+    SCOPED_TRACE("max_depth " + std::to_string(depth));
+    ForestConfig config;
+    config.tree.max_depth = depth;
+    RandomForest forest(config);
+    forest.fit(noisy(250, depth + 7), 9);
+    expect_flat_parity(forest, noisy(100, depth + 50).x);
+  }
+}
+
+TEST(PredictFlat, SingleLeafDegenerateForestParksOnRoot) {
+  // Pure labels: every tree is a single self-looping leaf (depth 0), so
+  // the view's tree_depth entries are all zero and no level runs.
+  Dataset pure;
+  Rng rng(3);
+  for (std::size_t i = 0; i < 32; ++i) {
+    const RealVector row = {rng.normal(), rng.normal()};
+    pure.push_back(row, 1);
+  }
+  ForestConfig config;
+  config.tree_count = 4;
+  RandomForest forest(config);
+  forest.fit(pure, 5);
+  const CompiledForest compiled(forest);
+  const FlatForest view = compiled.view();
+  for (const std::uint32_t depth : view.tree_depth) {
+    EXPECT_EQ(depth, 0u);
+  }
+
+  const Matrix rows = noisy(40, 11, 2).x;
+  RealVector proba;
+  std::vector<int> labels;
+  predict_flat(view, rows, proba, labels);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    EXPECT_EQ(proba[r], 1.0);
+    EXPECT_EQ(labels[r], 1);
+  }
+  expect_flat_parity(forest, rows);
+}
+
+TEST(PredictFlat, ConstantFeaturesYieldLeafOnlyForest) {
+  Dataset flat;
+  const RealVector constant_row = {1.0, 2.0, 3.0};
+  for (std::size_t i = 0; i < 40; ++i) {
+    flat.push_back(constant_row, i % 2 == 0 ? 1 : 0);
+  }
+  RandomForest forest;
+  forest.fit(flat, 11);
+  expect_flat_parity(forest, flat.x);
+}
+
+TEST(PredictFlat, BakedScalerMatchesCompiledForest) {
+  // CompiledForest::predict_into is "apply the baked scaler, then
+  // predict_flat": scaling by hand and calling the free traversal on the
+  // same view must agree bit for bit.
+  const Dataset train = noisy(300, 21);
+  RandomForest forest;
+  forest.fit(train, 13);
+
+  RowScaler scaler;
+  for (std::size_t f = 0; f < train.feature_count(); ++f) {
+    scaler.mean.push_back(0.25 * static_cast<Real>(f));
+    scaler.stddev.push_back(1.0 + 0.1 * static_cast<Real>(f));
+  }
+  scaler.stddev.back() = 0.0;  // degenerate column: centered-to-zero path
+
+  const Matrix raw = noisy(64, 22).x;
+  const CompiledForest compiled(forest, scaler);
+  Matrix compiled_scratch = raw;
+  RealVector proba_compiled;
+  std::vector<int> labels_compiled;
+  compiled.predict_into(compiled_scratch, proba_compiled, labels_compiled);
+
+  Matrix scaled = raw;
+  scaler.apply(scaled);
+  RealVector proba;
+  std::vector<int> labels;
+  predict_flat(compiled.view(), scaled, proba, labels);
+  EXPECT_EQ(proba, proba_compiled);
+  EXPECT_EQ(labels, labels_compiled);
+  EXPECT_EQ(scaled, compiled_scratch);  // predict_into z-scored in place
+}
+
+TEST(PredictFlat, EmptyBatchAndErrorPaths) {
+  RandomForest forest;
+  forest.fit(noisy(60, 41), 1);
+  const CompiledForest compiled(forest);
+
+  const Matrix empty;
+  RealVector proba = {1.0, 2.0};  // stale scratch must be overwritten
+  std::vector<int> labels = {1, 0, 1};
+  predict_flat(compiled.view(), empty, proba, labels);
+  EXPECT_TRUE(proba.empty());
+  EXPECT_TRUE(labels.empty());
+
+  const Matrix narrow(4, 1, 0.5);
+  EXPECT_THROW(predict_flat(compiled.view(), narrow, proba, labels),
+               InvalidArgument);
 }
 
 TEST(ForestModel, RejectsNullAndUnfittedForest) {
