@@ -94,6 +94,7 @@ void drive_ingest(const RawConfig& raw, std::span<const std::uint8_t> tape) {
   const std::size_t channels = 1 + raw.channels % 2;
   const esl::features::EglassFeatureExtractor extractor(channels);
   PatientSession session(raw.flags, extractor, bounded_config(raw));
+  esl::dsp::Workspace workspace;
 
   // Reinterpret the tape as sample payloads: arbitrary bit patterns,
   // so NaNs, infinities and denormals flow through the DSP pipeline.
@@ -124,7 +125,7 @@ void drive_ingest(const RawConfig& raw, std::span<const std::uint8_t> tape) {
     }
 
     try {
-      session.ingest(chunk);
+      session.ingest(chunk, workspace);
     } catch (const esl::InvalidArgument&) {
       // Malformed chunk correctly rejected; the stream must still work.
     }

@@ -194,23 +194,13 @@ Real RunningStats::stddev() const {
 }
 
 Hjorth hjorth_parameters(std::span<const Real> values) {
-  RealVector d1;
-  RealVector d2;
-  return hjorth_parameters(values, d1, d2);
-}
-
-Hjorth hjorth_parameters(std::span<const Real> values,
-                         RealVector& derivative_scratch,
-                         RealVector& second_derivative_scratch) {
   expects(values.size() >= 3, "stats::hjorth_parameters: need at least 3 samples");
   // First and second discrete derivatives.
-  RealVector& d1 = derivative_scratch;
-  d1.resize(values.size() - 1);
+  RealVector d1(values.size() - 1);
   for (std::size_t i = 0; i + 1 < values.size(); ++i) {
     d1[i] = values[i + 1] - values[i];
   }
-  RealVector& d2 = second_derivative_scratch;
-  d2.resize(d1.size() - 1);
+  RealVector d2(d1.size() - 1);
   for (std::size_t i = 0; i + 1 < d1.size(); ++i) {
     d2[i] = d1[i + 1] - d1[i];
   }

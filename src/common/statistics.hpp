@@ -89,11 +89,4 @@ struct Hjorth {
 /// Requires at least three samples.
 Hjorth hjorth_parameters(std::span<const Real> values);
 
-/// hjorth_parameters() with caller-owned scratch for the first/second
-/// discrete-derivative series (resized, capacity retained) — bit-identical
-/// results with zero steady-state allocation for fixed-length windows.
-Hjorth hjorth_parameters(std::span<const Real> values,
-                         RealVector& derivative_scratch,
-                         RealVector& second_derivative_scratch);
-
 }  // namespace esl::stats

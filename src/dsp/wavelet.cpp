@@ -262,14 +262,6 @@ RealVector waverec(const WaveletDecomposition& decomposition,
 
 RealVector wavelet_energy_distribution(const WaveletDecomposition& d) {
   RealVector energies;
-  wavelet_energy_distribution_into(d, energies);
-  return energies;
-}
-
-void wavelet_energy_distribution_into(const WaveletDecomposition& d,
-                                      RealVector& out) {
-  RealVector& energies = out;
-  energies.clear();
   energies.reserve(d.levels() + 1);
   Real total = 0.0;
   for (const auto& detail : d.details) {
@@ -291,6 +283,7 @@ void wavelet_energy_distribution_into(const WaveletDecomposition& d,
       e /= total;
     }
   }
+  return energies;
 }
 
 }  // namespace esl::dsp

@@ -105,7 +105,7 @@ RealVector waverec(const WaveletDecomposition& decomposition,
 
 /// Fraction of total coefficient energy in each detail level plus the final
 /// approximation (levels()+1 entries summing to 1 for non-zero signals);
-/// used by the e-Glass-style feature set.
+/// the e-Glass-style feature set's per-level energies.
 RealVector wavelet_energy_distribution(const WaveletDecomposition& d);
 
 // Workspace-threaded overloads: bit-identical to the transforms above but
@@ -124,10 +124,5 @@ void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
                   std::size_t levels, Workspace& workspace,
                   WaveletDecomposition& out,
                   ExtensionMode mode = ExtensionMode::kPeriodic);
-
-/// wavelet_energy_distribution() into a caller-owned vector (cleared,
-/// capacity retained); needs no workspace.
-void wavelet_energy_distribution_into(const WaveletDecomposition& d,
-                                      RealVector& out);
 
 }  // namespace esl::dsp

@@ -10,11 +10,15 @@
 // which the WorkspaceParity test suites assert element by element.
 //
 // Ownership rules (see README "Serving at scale"):
-//  * one Workspace per stream: StreamingExtractor (and therefore every
-//    engine::PatientSession) owns one, so shard workers never share one;
+//  * one Workspace per Engine, and so per shard: engine::Engine owns one
+//    and lends it to every session's ingest, so all the streams one
+//    thread drives reuse one warm, cache-resident arena. Streams borrow
+//    it (StreamingExtractor::push takes it) and keep no scratch of their
+//    own; any window geometry may follow any other;
 //  * a Workspace is NOT thread-safe — never call workspace overloads on
-//    the same instance from two threads concurrently;
-//  * result slots (psd, decomposition, energy, spectrum) stay valid until
+//    the same instance from two threads concurrently (shard workers each
+//    drive their own Engine, hence their own Workspace);
+//  * result slots (psd, decomposition, spectrum) stay valid until
 //    the next workspace call that writes the same slot — copy them out
 //    if you need two results of the same kind alive at once;
 //  * scratch members may alias nothing passed into a workspace overload
@@ -22,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,9 +41,8 @@ class Workspace {
  public:
   Workspace() = default;
 
-  // Workspaces are per-stream scratch; copying one would duplicate warm
-  // buffers for no benefit and invites accidental sharing, so only moves
-  // are allowed (vector-of-sessions storage still works).
+  // Copying a workspace would duplicate warm buffers for no benefit and
+  // invites accidental sharing, so only moves are allowed.
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
   Workspace(Workspace&&) = default;
@@ -55,24 +59,27 @@ class Workspace {
   Psd psd;
   /// wavedec_into result storage (per-level detail buffers reused).
   WaveletDecomposition decomposition;
-  /// wavelet_energy_distribution_into result storage.
-  RealVector energy;
 
   // ----------------------------------------------- feature-layer scratch
-  // General-purpose buffers for scratch-aware overloads outside dsp::
-  // (stats::quantile_from_sorted sorting, stats::hjorth_parameters
-  // derivative series, entropy histogram/ordinal-pattern counting).
+  // General-purpose buffers for the feature extractors and the streaming
+  // layer (order statistics, difference series, entropy
+  // histogram/ordinal-pattern counting, window linearisation).
   // Contents are unspecified between calls.
 
-  /// Order-statistics scratch: copy + sort a window here (IQR feature).
+  /// Order-statistics scratch: a window is copied here and partially
+  /// ordered to select its quartiles (IQR feature).
   RealVector sorted;
-  /// First/second discrete-derivative series for Hjorth parameters.
+  /// First-difference series of a window (Hjorth parameters).
   RealVector derivative_a;
-  RealVector derivative_b;
   /// Histogram / ordinal-pattern count scratch (entropy overloads).
   std::vector<std::size_t> counts;
   /// Histogram probability-mass scratch (entropy overloads).
   RealVector probabilities;
+  /// Per-channel linearised copies of the window being computed, and the
+  /// views over them handed to the feature extractor
+  /// (features::StreamingExtractor::push).
+  std::vector<RealVector> windows;
+  std::vector<std::span<const Real>> window_views;
 
   // -------------------------------------------------- dsp-layer internals
   // Scratch owned by the dsp `*_into` implementations. Treat as opaque:

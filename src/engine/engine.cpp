@@ -79,7 +79,7 @@ std::size_t Engine::ingest(std::uint64_t id,
     // Chunks queued before a close silently drain away; see the header.
     return 0;
   }
-  return s.session->ingest(chunk);
+  return s.session->ingest(chunk, workspace_);
 }
 
 std::shared_ptr<const ml::InferenceModel> Engine::fleet_model() const {

@@ -33,6 +33,7 @@
 #include "core/hierarchical.hpp"
 #include "core/realtime_detector.hpp"
 #include "core/self_learning.hpp"
+#include "dsp/workspace.hpp"
 #include "engine/patient_session.hpp"
 #include "features/eglass_features.hpp"
 #include "ml/inference_model.hpp"
@@ -109,7 +110,8 @@ class Engine {
   PatientSession& session(std::uint64_t id);
   const PatientSession& session(std::uint64_t id) const;
 
-  /// Forwards one chunk to the session's ingest.
+  /// Forwards one chunk to the session's ingest, lending it the engine's
+  /// workspace.
   std::size_t ingest(std::uint64_t id,
                      const std::vector<std::span<const Real>>& chunk);
 
@@ -199,6 +201,10 @@ class Engine {
   std::shared_ptr<const core::RealtimeDetector> fleet_;
   EngineConfig config_;
   features::EglassFeatureExtractor extractor_;
+  // The one DSP scratch arena every session's windows are computed in:
+  // an Engine is driven by one thread at a time (one per shard), so
+  // sharing it is race-free and keeps it warm across sessions.
+  dsp::Workspace workspace_;
   std::vector<Slot> slots_;  // id == index
   std::function<void(const Detection&)> alarm_hook_;
   std::function<void(std::uint64_t, const signal::Interval&)> label_hook_;

@@ -70,10 +70,12 @@ PatientSession::PatientSession(
     }
   }
   pending_.reserve_rows(16, streaming_.feature_count());
+  pending_indices_.reserve(16);
 }
 
 std::size_t PatientSession::ingest(
-    const std::vector<std::span<const Real>>& chunk) {
+    const std::vector<std::span<const Real>>& chunk,
+    dsp::Workspace& workspace) {
   // Validate the whole chunk before touching any state, so a rejected
   // chunk cannot leave the history rings half-updated or misaligned.
   const std::size_t channels =
@@ -87,7 +89,7 @@ std::size_t PatientSession::ingest(
   for (std::size_t c = 0; c < history_.size(); ++c) {
     history_[c].push(chunk[c]);
   }
-  return streaming_.push(chunk, *this);
+  return streaming_.push(chunk, *this, workspace);
 }
 
 void PatientSession::on_window(std::size_t index, Seconds /*start_s*/,

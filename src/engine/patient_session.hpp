@@ -4,11 +4,14 @@
 // packet, a file reader, a socket — the engine does not care), runs the
 // incremental sliding-window extractor over per-channel ring buffers, and
 // parks the resulting raw e-Glass feature rows in a pending matrix that
-// the Engine drains into batched inference. The session's streaming
-// extractor owns one dsp::Workspace, so a warm ingest -> extract ->
-// pending -> clear_pending cycle performs zero heap allocations end to
-// end (see the engine ZeroAllocation suite); sessions never share
-// scratch, which keeps shard workers data-race-free by construction. It also owns the per-patient
+// the Engine drains into batched inference. The session keeps only
+// stream state; the DSP scratch each window needs comes from the
+// dsp::Workspace passed to ingest() — the Engine's one workspace, shared
+// by all its sessions — so a warm ingest -> extract -> pending ->
+// clear_pending cycle performs zero heap allocations end to end (see the
+// engine ZeroAllocation suite), and a new session needs no warm-up of
+// its own. The Engine is driven by one thread at a time, so the shared
+// workspace is never used concurrently. It also owns the per-patient
 // post-processing state (consecutive-positive alarm runs) and, optionally,
 // a retrospective raw-signal history ring so a patient button press can
 // reconstruct the "last hour of signal" for a-posteriori labeling.
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "dsp/workspace.hpp"
 #include "features/streaming.hpp"
 #include "signal/eeg_record.hpp"
 #include "signal/sample_ring.hpp"
@@ -64,9 +68,10 @@ class PatientSession final : private features::WindowSink {
   const SessionConfig& config() const { return config_; }
 
   /// Feeds one chunk (one span per channel, equal lengths, any size).
-  /// Completed windows accumulate as rows of pending(). Returns the
-  /// number of windows completed by this chunk.
-  std::size_t ingest(const std::vector<std::span<const Real>>& chunk);
+  /// Completed windows are computed in `workspace` and accumulate as rows
+  /// of pending(). Returns the number of windows completed by this chunk.
+  std::size_t ingest(const std::vector<std::span<const Real>>& chunk,
+                     dsp::Workspace& workspace);
 
   /// Raw (unscaled) feature rows awaiting inference, in window order.
   const Matrix& pending() const { return pending_; }

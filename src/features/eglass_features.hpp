@@ -25,6 +25,9 @@ class EglassFeatureExtractor final : public WindowFeatureExtractor {
   explicit EglassFeatureExtractor(std::size_t channels = 2);
 
   std::vector<std::string> feature_names() const override;
+  std::size_t feature_count() const override {
+    return channels_ * k_eglass_features_per_channel;
+  }
   std::size_t required_channels() const override { return channels_; }
   RealVector extract(const std::vector<std::span<const Real>>& channels,
                      Real sample_rate_hz) const override;

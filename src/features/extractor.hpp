@@ -52,8 +52,9 @@ class WindowFeatureExtractor {
   /// statistics temporaries come from the caller-owned `workspace`, so a
   /// warm (extractor, window-geometry, workspace) triple computes the row
   /// with zero heap allocations. Results are bit-identical to the
-  /// workspace-free overloads. One workspace per stream — never share one
-  /// across threads (see dsp/workspace.hpp). The default ignores the
+  /// workspace-free overloads. A workspace may serve any number of
+  /// streams, one call at a time — never share one across threads (see
+  /// dsp/workspace.hpp). The default ignores the
   /// workspace and delegates, so extractors without a zero-alloc path
   /// keep working behind the same seam.
   virtual void extract_into(const std::vector<std::span<const Real>>& channels,
@@ -63,8 +64,10 @@ class WindowFeatureExtractor {
     extract_into(channels, sample_rate_hz, out);
   }
 
-  /// Number of output features (== feature_names().size()).
-  std::size_t feature_count() const { return feature_names().size(); }
+  /// Number of output features (== feature_names().size()). Sessions
+  /// read it when they open; extractors whose count is known without
+  /// building every name override it so an open allocates no names.
+  virtual std::size_t feature_count() const { return feature_names().size(); }
 };
 
 /// Feature matrix plus the window geometry needed to map feature-space

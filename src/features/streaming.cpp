@@ -43,18 +43,15 @@ StreamingExtractor::StreamingExtractor(const WindowFeatureExtractor& extractor,
 
   const std::size_t channels = extractor_.required_channels();
   rings_.reserve(channels);
-  window_scratch_.resize(channels);
-  views_.resize(channels);
   for (std::size_t c = 0; c < channels; ++c) {
     rings_.emplace_back(window_length_);
-    window_scratch_[c].resize(window_length_);
-    views_[c] = window_scratch_[c];
   }
   row_scratch_.reserve(feature_count_);
 }
 
 std::size_t StreamingExtractor::push(
-    const std::vector<std::span<const Real>>& block, WindowSink& sink) {
+    const std::vector<std::span<const Real>>& block, WindowSink& sink,
+    dsp::Workspace& workspace) {
   expects(block.size() >= rings_.size(),
           "StreamingExtractor::push: too few channels in block");
   const std::size_t block_length = block.empty() ? 0 : block[0].size();
@@ -68,6 +65,8 @@ std::size_t StreamingExtractor::push(
 
   // Consume the block in slices so the rings never overflow: fill up to
   // one window, emit, slide by one hop, repeat.
+  std::vector<RealVector>& windows = workspace.windows;
+  std::vector<std::span<const Real>>& views = workspace.window_views;
   std::size_t produced = 0;
   std::size_t offset = 0;
   while (true) {
@@ -80,10 +79,16 @@ std::size_t StreamingExtractor::push(
     if (rings_.front().size() < window_length_) {
       break;  // block exhausted before the next window completed
     }
+    // Another stream may have used the workspace since the last window,
+    // so the copies and their views are re-sized on every emission.
+    windows.resize(rings_.size());
+    views.resize(rings_.size());
     for (std::size_t c = 0; c < rings_.size(); ++c) {
-      rings_[c].copy_front(window_length_, window_scratch_[c]);
+      windows[c].resize(window_length_);
+      rings_[c].copy_front(window_length_, windows[c]);
+      views[c] = windows[c];
     }
-    extractor_.extract_into(views_, sample_rate_hz_, row_scratch_, workspace_);
+    extractor_.extract_into(views, sample_rate_hz_, row_scratch_, workspace);
     sink.on_window(emitted_,
                    static_cast<Seconds>(emitted_ * hop_) / sample_rate_hz_,
                    row_scratch_);
@@ -97,9 +102,10 @@ std::size_t StreamingExtractor::push(
 }
 
 std::vector<RealVector> StreamingExtractor::push(
-    const std::vector<std::span<const Real>>& block) {
+    const std::vector<std::span<const Real>>& block,
+    dsp::Workspace& workspace) {
   CollectSink sink;
-  push(block, sink);
+  push(block, sink, workspace);
   return std::move(sink.rows);
 }
 

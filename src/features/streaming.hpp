@@ -6,11 +6,14 @@
 // sliding by the configured hop — byte-identical to the batch
 // extract_windowed_features() output (verified by tests).
 //
-// The buffering is a per-channel fixed-capacity SampleRing plus reused
-// linearization/row scratch buffers and one dsp::Workspace owned by the
-// stream: after warm-up the per-window path — windowing, DSP internals
-// and feature row included — performs zero heap allocations (asserted by
-// the ZeroAllocation test suites).
+// The stream owns only its state: a per-channel fixed-capacity
+// SampleRing and the reused feature row. Everything a window needs only
+// while it is being computed — the linearised window copies and the DSP
+// scratch — lives in the dsp::Workspace the caller lends to push(), so
+// many streams driven by one thread share one warm workspace (the
+// engine::Engine lends its own to every session it ingests for). After
+// warm-up the per-window path performs zero heap allocations (asserted
+// by the ZeroAllocation test suites).
 #pragma once
 
 #include <vector>
@@ -41,20 +44,19 @@ class StreamingExtractor {
                      Real sample_rate_hz, Seconds window_seconds = 4.0,
                      Real overlap = 0.75);
 
-  // Non-copyable/movable: views_ aliases this object's own scratch
-  // buffers, so a byte-wise copy would read the source's storage.
-  StreamingExtractor(const StreamingExtractor&) = delete;
-  StreamingExtractor& operator=(const StreamingExtractor&) = delete;
-
   /// Feeds one block of samples (one span per channel, equal lengths;
   /// blocks of any size, including single samples) and hands every window
   /// completed by this block to `sink`. Returns the number of windows
-  /// emitted. This path does not allocate once warm.
+  /// emitted. Windows are linearised into and computed from `workspace`,
+  /// which may serve any number of streams of any geometry, one call at a
+  /// time (see dsp/workspace.hpp). This path does not allocate once the
+  /// workspace has seen the stream's geometry.
   std::size_t push(const std::vector<std::span<const Real>>& block,
-                   WindowSink& sink);
+                   WindowSink& sink, dsp::Workspace& workspace);
 
   /// Convenience wrapper returning the completed rows by value.
-  std::vector<RealVector> push(const std::vector<std::span<const Real>>& block);
+  std::vector<RealVector> push(const std::vector<std::span<const Real>>& block,
+                               dsp::Workspace& workspace);
 
   /// Number of windows emitted so far.
   std::size_t emitted() const { return emitted_; }
@@ -84,13 +86,7 @@ class StreamingExtractor {
   std::size_t hop_;
   std::size_t feature_count_;
   std::vector<signal::SampleRing> rings_;  // one per channel
-  // Reused scratch: linearized windows, their views, the feature row, and
-  // the DSP workspace handed to the extractor (one per stream, so shard
-  // workers driving different sessions never share scratch).
-  std::vector<RealVector> window_scratch_;
-  std::vector<std::span<const Real>> views_;
-  RealVector row_scratch_;
-  dsp::Workspace workspace_;
+  RealVector row_scratch_;                 // reused feature row
   std::size_t emitted_ = 0;
 };
 

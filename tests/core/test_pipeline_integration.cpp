@@ -44,6 +44,7 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
 
   // Streaming path: simulate the wearable receiving 256-sample packets.
   features::StreamingExtractor streaming(extractor, record_->sample_rate_hz());
+  dsp::Workspace workspace;
   features::WindowedFeatures streamed;
   streamed.window_seconds = 4.0;
   streamed.hop_seconds = 1.0;
@@ -56,7 +57,7 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
       block.push_back(
           std::span<const Real>(record_->channel(c).samples).subspan(pos, len));
     }
-    for (auto& row : streaming.push(block)) {
+    for (auto& row : streaming.push(block, workspace)) {
       streamed.features.append_row(row);
       streamed.window_start_s.push_back(
           streaming.window_start_s(streamed.window_start_s.size()));

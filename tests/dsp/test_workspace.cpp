@@ -171,15 +171,6 @@ TEST(WorkspaceParity, WavedecMatchesAllocatingPathAcrossLevels) {
   }
 }
 
-TEST(WorkspaceParity, WaveletEnergyDistributionIntoMatches) {
-  const RealVector x = noise(1024, 9);
-  const Wavelet db4 = Wavelet::daubechies(4);
-  const WaveletDecomposition dec = wavedec(x, db4, 7);
-  RealVector out = {1.0, 2.0, 3.0};  // stale contents must be discarded
-  wavelet_energy_distribution_into(dec, out);
-  expect_identical(wavelet_energy_distribution(dec), out, "energy");
-}
-
 TEST(WorkspaceParity, InterleavedReuseKeepsParity) {
   // A long-lived per-session workspace sees many geometries; interleave
   // transforms of different sizes/kinds and re-verify against the

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <string>
+
 #include "common/error.hpp"
 #include "ml/dataset.hpp"
 #include "sim/cohort.hpp"
@@ -432,6 +436,102 @@ TEST_F(EngineTest, RejectsUnknownSessionAndMissingPipeline) {
   no_history.history_seconds = 0.0;
   const std::uint64_t bare = engine.add_session(no_history);
   EXPECT_THROW(engine.attach_self_learning(bare, {}), InvalidArgument);
+}
+
+TEST_F(EngineTest, SessionsOfTwoGeometriesShareOneWorkspaceBitForBit) {
+  // Every session of an Engine computes its windows in the engine's one
+  // workspace. Sessions of different window geometries, fed interleaved,
+  // must each produce exactly the rows and detections they produce alone
+  // on their own Engine: nothing may leak through the shared scratch.
+  struct Stream {
+    SessionConfig config;
+    const signal::EegRecord* record;
+    std::size_t chunk;
+  };
+  SessionConfig four_s;
+  SessionConfig two_s;
+  two_s.window_seconds = 2.0;
+  two_s.overlap = 0.5;
+  const Stream streams[] = {{four_s, seizure_record_, 997},
+                            {two_s, background_record_, 613},
+                            {two_s, seizure_record_, 1500},
+                            {four_s, background_record_, 256}};
+  constexpr std::size_t k_streams = std::size(streams);
+
+  struct Output {
+    RealVector rows;  // pending rows, concatenated in window order
+    std::vector<Detection> detections;
+  };
+  const auto take_pending = [](const Engine& engine, std::uint64_t id,
+                               Output& out) {
+    const auto data = engine.session(id).pending().data();
+    out.rows.insert(out.rows.end(), data.begin(), data.end());
+  };
+
+  // All streams on one Engine, one chunk of each per round.
+  Engine shared(*fleet_);
+  std::uint64_t ids[k_streams];
+  for (std::size_t s = 0; s < k_streams; ++s) {
+    ids[s] = shared.add_session(streams[s].config);
+  }
+  Output together[k_streams];
+  for (std::size_t round = 0;; ++round) {
+    bool fed = false;
+    for (std::size_t s = 0; s < k_streams; ++s) {
+      const std::size_t offset = round * streams[s].chunk;
+      const std::size_t length = streams[s].record->length_samples();
+      if (offset < length) {
+        shared.ingest(ids[s], chunk_views(*streams[s].record, offset,
+                                          std::min(streams[s].chunk,
+                                                   length - offset)));
+        fed = true;
+      }
+    }
+    if (!fed) {
+      break;
+    }
+    for (std::size_t s = 0; s < k_streams; ++s) {
+      take_pending(shared, ids[s], together[s]);
+    }
+    for (const Detection& d : shared.poll()) {
+      together[d.session_id].detections.push_back(d);
+    }
+  }
+
+  for (std::size_t s = 0; s < k_streams; ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    Engine solo(*fleet_);
+    const std::uint64_t id = solo.add_session(streams[s].config);
+    Output alone;
+    const std::size_t length = streams[s].record->length_samples();
+    for (std::size_t offset = 0; offset < length; offset += streams[s].chunk) {
+      solo.ingest(id, chunk_views(*streams[s].record, offset,
+                                  std::min(streams[s].chunk, length - offset)));
+      take_pending(solo, id, alone);
+      for (const Detection& d : solo.poll()) {
+        alone.detections.push_back(d);
+      }
+    }
+
+    ASSERT_GT(alone.detections.size(), 0u);
+    ASSERT_EQ(together[s].rows.size(), alone.rows.size());
+    EXPECT_EQ(std::memcmp(together[s].rows.data(), alone.rows.data(),
+                          alone.rows.size() * sizeof(Real)),
+              0);
+    ASSERT_EQ(together[s].detections.size(), alone.detections.size());
+    for (std::size_t w = 0; w < alone.detections.size(); ++w) {
+      const Detection& a = together[s].detections[w];
+      const Detection& b = alone.detections[w];
+      EXPECT_EQ(a.session_id, ids[s]);
+      EXPECT_EQ(a.window_index, b.window_index);
+      EXPECT_EQ(std::memcmp(&a.window_start_s, &b.window_start_s,
+                            sizeof(Seconds)),
+                0);
+      EXPECT_EQ(a.label, b.label);
+      EXPECT_EQ(a.screened_out, b.screened_out);
+      EXPECT_EQ(a.alarm, b.alarm);
+    }
+  }
 }
 
 }  // namespace

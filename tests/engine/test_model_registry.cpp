@@ -17,7 +17,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <string>
+#include <system_error>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "engine/service.hpp"
@@ -43,13 +47,29 @@ ml::Dataset noisy(std::size_t size, std::uint64_t seed) {
   return data;
 }
 
-/// A fresh registry directory under the test temp root.
-std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+/// A fresh registry directory under the test temp root, removed again
+/// with the object. The name carries the process id: ctest runs each
+/// test as its own process, in parallel, so a fixed name would let one
+/// process delete the artifacts another is serving.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(::testing::TempDir() + name + "_" + std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Saves a small forest (tree_count controls the file size, so two
 /// saves with different counts are distinguishable by length alone —
@@ -97,7 +117,8 @@ TEST(ModelRegistry, ArtifactPathJoinsDirectoryKeyAndExtension) {
 
 TEST(ModelRegistry, OpenThrowsForMissingKeysAndContainsTracksDisk) {
   RegistryConfig config;
-  config.directory = scratch_dir("registry_missing");
+  const ScratchDir dir("registry_missing");
+  config.directory = dir.path();
   const ModelRegistry registry(config);
   EXPECT_FALSE(registry.contains("chb04"));
   EXPECT_THROW(registry.open("chb04"), DataError);
@@ -110,7 +131,8 @@ TEST(ModelRegistry, OpenThrowsForMissingKeysAndContainsTracksDisk) {
 
 TEST(ModelRegistry, OpenCachesTheMappingUntilTheFileIsReplaced) {
   RegistryConfig config;
-  config.directory = scratch_dir("registry_cache");
+  const ScratchDir dir("registry_cache");
+  config.directory = dir.path();
   const ModelRegistry registry(config);
   save_small_artifact(registry.artifact_path("chb04"), 4, 21);
 
@@ -134,7 +156,8 @@ TEST(ModelRegistry, OpenCachesTheMappingUntilTheFileIsReplaced) {
 
 TEST(ModelRegistry, OpenAloneAlsoSeesReplacedFilesWithoutRefresh) {
   RegistryConfig config;
-  config.directory = scratch_dir("registry_stale_open");
+  const ScratchDir dir("registry_stale_open");
+  config.directory = dir.path();
   const ModelRegistry registry(config);
   save_small_artifact(registry.artifact_path("chb04"), 4, 31);
   const auto first = registry.open("chb04");
@@ -148,7 +171,8 @@ TEST(ModelRegistry, OpenAloneAlsoSeesReplacedFilesWithoutRefresh) {
 
 TEST(ModelRegistry, EvictsTheLeastRecentlyUsedMappingBeyondCapacity) {
   RegistryConfig config;
-  config.directory = scratch_dir("registry_lru");
+  const ScratchDir dir("registry_lru");
+  config.directory = dir.path();
   config.capacity = 2;
   const ModelRegistry registry(config);
   for (const char* key : {"a", "b", "c"}) {
@@ -172,7 +196,8 @@ TEST(ModelRegistry, EvictsTheLeastRecentlyUsedMappingBeyondCapacity) {
 
 TEST(ModelRegistry, RefreshDropsEntriesWhoseFilesVanished) {
   RegistryConfig config;
-  config.directory = scratch_dir("registry_vanish");
+  const ScratchDir dir("registry_vanish");
+  config.directory = dir.path();
   const ModelRegistry registry(config);
   save_small_artifact(registry.artifact_path("chb04"), 4, 51);
   (void)registry.open("chb04");
@@ -234,11 +259,11 @@ class RegistryServiceTest : public ::testing::Test {
     fitted->fit(ml::balance_classes(*train_set_, rng), 7);
     fleet_ = new std::shared_ptr<const core::RealtimeDetector>(fitted);
 
-    directory_ = new std::string(scratch_dir("registry_service"));
-    ml::save_artifact(*directory_ + "/fleet.eslm", *fitted->compile());
+    directory_ = new ScratchDir("registry_service");
+    ml::save_artifact(directory_->path() + "/fleet.eslm", *fitted->compile());
   }
   static void TearDownTestSuite() {
-    delete directory_;
+    delete directory_;  // removes the directory and its artifacts
     delete fleet_;
     delete train_set_;
     delete background_record_;
@@ -266,7 +291,7 @@ class RegistryServiceTest : public ::testing::Test {
 
   static RegistryConfig registry_config() {
     RegistryConfig config;
-    config.directory = *directory_;
+    config.directory = directory_->path();
     return config;
   }
 
@@ -299,7 +324,7 @@ class RegistryServiceTest : public ::testing::Test {
   static signal::EegRecord* background_record_;
   static ml::Dataset* train_set_;
   static std::shared_ptr<const core::RealtimeDetector>* fleet_;
-  static std::string* directory_;
+  static ScratchDir* directory_;
 };
 
 sim::CohortSimulator* RegistryServiceTest::simulator_ = nullptr;
@@ -309,7 +334,7 @@ signal::EegRecord* RegistryServiceTest::background_record_ = nullptr;
 ml::Dataset* RegistryServiceTest::train_set_ = nullptr;
 std::shared_ptr<const core::RealtimeDetector>* RegistryServiceTest::fleet_ =
     nullptr;
-std::string* RegistryServiceTest::directory_ = nullptr;
+ScratchDir* RegistryServiceTest::directory_ = nullptr;
 
 TEST_F(RegistryServiceTest, SwapFromRegistryDeploysTheMappedModel) {
   const ModelRegistry registry(registry_config());
@@ -425,7 +450,7 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
   });
   std::thread trainer([&] {
     while (!stop.load()) {
-      ml::save_artifact(*directory_ + "/fleet.eslm", fleet_artifact);
+      ml::save_artifact(directory_->path() + "/fleet.eslm", fleet_artifact);
       registry.refresh();
       second_registry.refresh();
       std::this_thread::yield();

@@ -34,16 +34,17 @@ class PatientSessionTest : public ::testing::Test {
   }
 
   /// Streams the whole record in `chunk` sized pieces.
-  static void stream(PatientSession& session, const signal::EegRecord& record,
-                     std::size_t chunk) {
+  void stream(PatientSession& session, const signal::EegRecord& record,
+              std::size_t chunk) {
     const std::size_t length = record.length_samples();
     for (std::size_t offset = 0; offset < length; offset += chunk) {
       const std::size_t n = std::min(chunk, length - offset);
-      session.ingest(chunk_views(record, offset, n));
+      session.ingest(chunk_views(record, offset, n), workspace_);
     }
   }
 
   static signal::EegRecord* record_;
+  dsp::Workspace workspace_;
 };
 
 signal::EegRecord* PatientSessionTest::record_ = nullptr;
@@ -91,13 +92,13 @@ TEST_F(PatientSessionTest, ClearPendingKeepsGlobalWindowIndices) {
   PatientSession session(2, extractor, config);
 
   const std::size_t half = record_->length_samples() / 2;
-  session.ingest(chunk_views(*record_, 0, half));
+  session.ingest(chunk_views(*record_, 0, half), workspace_);
   const std::size_t first_batch = session.pending().rows();
   ASSERT_GT(first_batch, 0u);
   session.clear_pending();
   EXPECT_EQ(session.pending().rows(), 0u);
 
-  session.ingest(chunk_views(*record_, half, record_->length_samples() - half));
+  session.ingest(chunk_views(*record_, half, record_->length_samples() - half), workspace_);
   ASSERT_GT(session.pending().rows(), 0u);
   // Indices continue the global counter instead of restarting at 0.
   EXPECT_EQ(session.pending_window_indices().front(), first_batch);
@@ -188,10 +189,10 @@ TEST_F(PatientSessionTest, HistoryRecordAtExactlyOneWindowBoundary) {
 
   const auto window_length = static_cast<std::size_t>(
       config.window_seconds * config.sample_rate_hz);
-  session.ingest(chunk_views(*record_, 0, window_length - 1));
+  session.ingest(chunk_views(*record_, 0, window_length - 1), workspace_);
   EXPECT_THROW(session.history_record(), InvalidArgument);
 
-  session.ingest(chunk_views(*record_, window_length - 1, 1));
+  session.ingest(chunk_views(*record_, window_length - 1, 1), workspace_);
   const signal::EegRecord history = session.history_record();
   EXPECT_EQ(history.length_samples(), window_length);
   for (std::size_t c = 0; c < history.channel_count(); ++c) {
@@ -202,7 +203,7 @@ TEST_F(PatientSessionTest, HistoryRecordAtExactlyOneWindowBoundary) {
   }
 
   // Once the ring is full it stays exactly one window long and slides.
-  session.ingest(chunk_views(*record_, window_length, 100));
+  session.ingest(chunk_views(*record_, window_length, 100), workspace_);
   const signal::EegRecord slid = session.history_record();
   EXPECT_EQ(slid.length_samples(), window_length);
   EXPECT_EQ(slid.channel(0).samples[0], record_->channel(0).samples[100]);

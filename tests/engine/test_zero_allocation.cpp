@@ -1,10 +1,11 @@
 // Steady-state allocation regression for the engine ingest path.
 //
-// PR 1 made the windowing/row path allocation-free and ISSUE 4 finished
-// the job inside the DSP internals: a warm PatientSession ingest cycle —
-// ring buffering, history ring, incremental windowing, the full 108-wide
-// e-Glass feature row, pending-matrix append and clear — must perform
-// zero heap allocations. The counting operator new (test-only) proves it.
+// A warm PatientSession ingest cycle — ring buffering, history ring,
+// incremental windowing, the full 108-wide e-Glass feature row,
+// pending-matrix append and clear — must perform zero heap allocations.
+// The DSP scratch belongs to the Engine, not the session, so a session
+// opened on a warm Engine streams allocation-free from its first chunk.
+// The counting operator new (test-only) proves both.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -12,6 +13,8 @@
 
 #include "../support/alloc_counter.hpp"
 #include "common/random.hpp"
+#include "dsp/workspace.hpp"
+#include "engine/engine.hpp"
 #include "engine/patient_session.hpp"
 #include "features/eglass_features.hpp"
 
@@ -34,6 +37,7 @@ TEST(ZeroAllocation, PatientSessionIngestCycleIsAllocationFreeWhenWarm) {
   SessionConfig config;
   config.history_seconds = 30.0;  // exercise the history ring too
   PatientSession session(7, extractor, config);
+  dsp::Workspace workspace;
 
   const RealVector a = noise(256, 21);
   const RealVector b = noise(256, 22);
@@ -42,7 +46,7 @@ TEST(ZeroAllocation, PatientSessionIngestCycleIsAllocationFreeWhenWarm) {
   // Warm-up: past the first 4 s window plus several engine-style
   // ingest -> drain cycles so the pending matrix reaches steady capacity.
   for (int i = 0; i < 8; ++i) {
-    session.ingest(chunk);
+    session.ingest(chunk, workspace);
     session.clear_pending();
   }
 
@@ -50,7 +54,7 @@ TEST(ZeroAllocation, PatientSessionIngestCycleIsAllocationFreeWhenWarm) {
   const std::size_t before = esl::testing::allocation_count();
   std::size_t completed = 0;
   for (int i = 0; i < 16; ++i) {
-    completed += session.ingest(chunk);
+    completed += session.ingest(chunk, workspace);
     // The engine reads pending rows into its batch, then clears.
     ASSERT_FALSE(session.pending().empty());
     session.clear_pending();
@@ -58,6 +62,32 @@ TEST(ZeroAllocation, PatientSessionIngestCycleIsAllocationFreeWhenWarm) {
   EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
   EXPECT_EQ(completed, 16u);  // one window per 1 s chunk at 75 % overlap
   EXPECT_EQ(session.windows_emitted() - windows_before, 16u);
+}
+
+TEST(ZeroAllocation, SessionOpenedOnAWarmEngineStreamsWithoutAllocating) {
+  Engine engine(nullptr);  // no model: only the ingest path is exercised
+  const RealVector a = noise(256, 31);
+  const RealVector b = noise(256, 32);
+  const std::vector<std::span<const Real>> chunk = {a, b};
+
+  // Warm the engine's workspace through one session.
+  const std::uint64_t warm = engine.add_session();
+  for (int i = 0; i < 8; ++i) {
+    engine.ingest(warm, chunk);
+    engine.session(warm).clear_pending();
+  }
+
+  // Opening a session allocates its stream state (rings, pending rows)
+  // but no DSP scratch, so its very first windows allocate nothing.
+  const std::uint64_t fresh = engine.add_session();
+  const std::size_t before = esl::testing::allocation_count();
+  std::size_t completed = 0;
+  for (int i = 0; i < 8; ++i) {
+    completed += engine.ingest(fresh, chunk);
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
+  EXPECT_EQ(completed, 5u);  // first window at 4 s, then one per 1 s chunk
+  EXPECT_EQ(engine.session(fresh).pending().rows(), 5u);
 }
 
 TEST(ZeroAllocation, AlarmPostProcessingIsAllocationFree) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
+#include "common/statistics.hpp"
+#include "dsp/spectrum.hpp"
+#include "dsp/wavelet.hpp"
+#include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
 #include "sim/cohort.hpp"
 
@@ -19,6 +27,14 @@ TEST(EglassFeatures, FiftyFourPerChannel) {
   EXPECT_EQ(two.feature_names().size(), 108u);
   const EglassFeatureExtractor one(1);
   EXPECT_EQ(one.feature_names().size(), 54u);
+}
+
+TEST(EglassFeatures, FeatureCountMatchesTheNames) {
+  for (const std::size_t channels : {1u, 2u, 3u, 8u}) {
+    const EglassFeatureExtractor extractor(channels);
+    const WindowFeatureExtractor& base = extractor;
+    EXPECT_EQ(base.feature_count(), extractor.feature_names().size());
+  }
 }
 
 TEST(EglassFeatures, NamesAreUniqueAndPrefixed) {
@@ -107,6 +123,152 @@ TEST(EglassFeatures, RejectsTinyWindows) {
 
 TEST(EglassFeatures, RejectsZeroChannels) {
   EXPECT_THROW(EglassFeatureExtractor{0}, InvalidArgument);
+}
+
+TEST(EglassFeatures, RejectsASpectrumEndingBelowHalfAHertz) {
+  // At 0.5 Hz the one-sided spectrum ends at 0.25 Hz, so total power's
+  // band [0.5 Hz, Nyquist + one bin) is empty: dsp::total_power rejects
+  // it, and so must the fused spectral pass.
+  const EglassFeatureExtractor extractor(1);
+  const RealVector window(256, 1.0);
+  EXPECT_THROW(dsp::total_power(dsp::periodogram(window, 0.5)),
+               InvalidArgument);
+  EXPECT_THROW(extractor.extract({window}, 0.5), InvalidArgument);
+}
+
+// ----------------------------------------------------------- bitwise pin
+//
+// The extractor computes each channel's 54 values in a few fused passes.
+// This reference is the plain composition of the standalone stats:: and
+// dsp:: functions those passes stand for, one function per value; the
+// extractor's rows must match it bit for bit (memcmp), on real and
+// degenerate windows alike.
+
+void reference_channel(std::span<const Real> x, Real sample_rate_hz,
+                       RealVector& out) {
+  const Real mu = stats::mean(x);
+  out.push_back(mu);
+  out.push_back(stats::variance(x));
+  out.push_back(stats::skewness(x));
+  out.push_back(stats::kurtosis_excess(x));
+  out.push_back(stats::rms(x));
+  out.push_back(stats::line_length(x));
+  out.push_back(static_cast<Real>(stats::zero_crossings(x)));
+  const stats::Hjorth hjorth = stats::hjorth_parameters(x);
+  out.push_back(hjorth.mobility);
+  out.push_back(hjorth.complexity);
+  out.push_back(stats::max(x) - stats::min(x));
+  Real mean_abs = 0.0;
+  for (const Real v : x) {
+    mean_abs += std::abs(v - mu);
+  }
+  out.push_back(mean_abs / static_cast<Real>(x.size()));
+  out.push_back(stats::quantile(x, 0.75) - stats::quantile(x, 0.25));
+
+  const dsp::Psd psd = dsp::periodogram(x, sample_rate_hz);
+  const dsp::Band bands[] = {dsp::bands::kDelta, dsp::bands::kTheta,
+                             dsp::bands::kAlpha, dsp::bands::kBeta,
+                             dsp::bands::kGamma};
+  out.push_back(dsp::total_power(psd));
+  for (const dsp::Band band : bands) {
+    out.push_back(dsp::band_power(psd, band));
+  }
+  for (const dsp::Band band : bands) {
+    out.push_back(dsp::relative_band_power(psd, band));
+  }
+  out.push_back(dsp::spectral_edge_frequency(psd, 0.9));
+  out.push_back(dsp::peak_frequency(psd));
+  out.push_back(dsp::spectral_entropy(psd));
+
+  const dsp::WaveletDecomposition dec =
+      dsp::wavedec(x, dsp::Wavelet::daubechies(4), 7);
+  const RealVector energy = dsp::wavelet_energy_distribution(dec);
+  for (std::size_t level = 1; level <= 7; ++level) {
+    const RealVector& d = dec.detail_at_level(level);
+    Real abs_sum = 0.0;
+    for (const Real v : d) {
+      abs_sum += std::abs(v);
+    }
+    out.push_back(abs_sum / static_cast<Real>(d.size()));
+    out.push_back(stats::stddev(d));
+    out.push_back(energy[level - 1]);
+    out.push_back(stats::line_length(d));
+  }
+}
+
+struct PinCase {
+  std::string name;
+  RealVector ch0;
+  RealVector ch1;
+};
+
+/// Background, seizure and degenerate two-channel windows of `length`
+/// samples.
+std::vector<PinCase> pin_cases(std::size_t length) {
+  const sim::CohortSimulator simulator;
+  const auto& event = simulator.events().front();
+  const auto record = simulator.synthesize_sample(event, 0, 600.0, 700.0);
+  const auto seizure = record.seizures().front();
+  const auto cut = [&](std::size_t channel, Seconds t) {
+    const auto& samples = record.channel(channel).samples;
+    const std::size_t s = record.seconds_to_sample(t);
+    return RealVector(samples.begin() + static_cast<std::ptrdiff_t>(s),
+                      samples.begin() + static_cast<std::ptrdiff_t>(s + length));
+  };
+
+  std::vector<PinCase> cases;
+  cases.push_back({"background", cut(0, seizure.onset - 120.0),
+                   cut(1, seizure.onset - 120.0)});
+  cases.push_back({"seizure", cut(0, seizure.midpoint()),
+                   cut(1, seizure.midpoint())});
+  cases.push_back({"constant", RealVector(length, 5.0), RealVector(length, -2.5)});
+  cases.push_back(
+      {"negative_zero", RealVector(length, -0.0), RealVector(length, -0.0)});
+  RealVector ramp(length);
+  RealVector alternating(length);
+  RealVector ties(length);
+  RealVector tie_steps(length);
+  Rng rng(4242);
+  for (std::size_t i = 0; i < length; ++i) {
+    ramp[i] = 0.125 * static_cast<Real>(i) - 3.0;
+    alternating[i] = i % 2 == 0 ? 1.0 : -1.0;
+    // Three levels, none of them zero: most order statistics are ties.
+    ties[i] = static_cast<Real>(1 + rng.uniform_index(3));
+    tie_steps[i] = static_cast<Real>(1 + (i * 7 / length)) * 0.5;
+  }
+  cases.push_back({"ramp", ramp, alternating});
+  cases.push_back({"ties", ties, tie_steps});
+  return cases;
+}
+
+TEST(EglassFeatures, FusedRowsAreBitIdenticalToTheStandaloneComposition) {
+  const EglassFeatureExtractor extractor(2);
+  // One workspace across every case: geometry changes (length, rate)
+  // must not leak state from one window into the next.
+  dsp::Workspace workspace;
+  RealVector row;
+  for (const std::size_t length : {256u, 257u, 1000u, 1024u}) {
+    for (const Real rate : {100.0, 256.0}) {
+      for (const PinCase& c : pin_cases(length)) {
+        SCOPED_TRACE(c.name + " length " + std::to_string(length) + " rate " +
+                     std::to_string(rate));
+        const std::vector<std::span<const Real>> window = {c.ch0, c.ch1};
+        RealVector expected;
+        reference_channel(c.ch0, rate, expected);
+        reference_channel(c.ch1, rate, expected);
+        extractor.extract_into(window, rate, row, workspace);
+        ASSERT_EQ(row.size(), expected.size());
+        for (std::size_t f = 0; f < row.size(); ++f) {
+          EXPECT_EQ(std::memcmp(&row[f], &expected[f], sizeof(Real)), 0)
+              << "feature " << f << ": " << row[f] << " vs " << expected[f];
+        }
+        const RealVector fresh = extractor.extract(window, rate);
+        EXPECT_EQ(std::memcmp(fresh.data(), expected.data(),
+                              expected.size() * sizeof(Real)),
+                  0);
+      }
+    }
+  }
 }
 
 }  // namespace

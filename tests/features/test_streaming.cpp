@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "dsp/workspace.hpp"
 #include "features/paper_features.hpp"
 #include "sim/cohort.hpp"
 
@@ -30,6 +31,8 @@ TEST(Streaming, MatchesBatchExtractionExactly) {
   const WindowedFeatures batch = extract_windowed_features(record, extractor);
 
   StreamingExtractor streaming(extractor, record.sample_rate_hz());
+
+  dsp::Workspace workspace;
   // Feed in odd-sized chunks to stress the buffering.
   std::vector<RealVector> rows;
   std::size_t position = 0;
@@ -40,7 +43,7 @@ TEST(Streaming, MatchesBatchExtractionExactly) {
     const std::size_t chunk =
         std::min(chunk_sizes[chunk_index % 6], total - position);
     ++chunk_index;
-    for (auto& row : streaming.push(record_views(record, position, chunk))) {
+    for (auto& row : streaming.push(record_views(record, position, chunk), workspace)) {
       rows.push_back(std::move(row));
     }
     position += chunk;
@@ -60,7 +63,8 @@ TEST(Streaming, EmitsNothingBeforeFirstFullWindow) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
-  const auto rows = streaming.push(record_views(record, 0, 1023));
+  dsp::Workspace workspace;
+  const auto rows = streaming.push(record_views(record, 0, 1023), workspace);
   EXPECT_TRUE(rows.empty());
   EXPECT_EQ(streaming.emitted(), 0u);
   EXPECT_EQ(streaming.buffered(), 1023u);
@@ -70,8 +74,9 @@ TEST(Streaming, OneSampleCompletesTheWindow) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
-  streaming.push(record_views(record, 0, 1023));
-  const auto rows = streaming.push(record_views(record, 1023, 1));
+  dsp::Workspace workspace;
+  streaming.push(record_views(record, 0, 1023), workspace);
+  const auto rows = streaming.push(record_views(record, 1023, 1), workspace);
   EXPECT_EQ(rows.size(), 1u);
   EXPECT_EQ(streaming.emitted(), 1u);
 }
@@ -80,8 +85,10 @@ TEST(Streaming, LargeBlockEmitsManyWindows) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
+  dsp::Workspace workspace;
   const auto rows =
-      streaming.push(record_views(record, 0, record.length_samples()));
+      streaming.push(record_views(record, 0, record.length_samples()),
+                     workspace);
   // 20 s -> 17 windows at 4 s / 1 s hop.
   EXPECT_EQ(rows.size(), 17u);
 }
@@ -103,15 +110,16 @@ TEST(Streaming, PushValidatesChannelBlocks) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
+  dsp::Workspace workspace;
   // Too few channels.
   std::vector<std::span<const Real>> one = {
       std::span<const Real>(record.channel(0).samples).subspan(0, 100)};
-  EXPECT_THROW(streaming.push(one), InvalidArgument);
+  EXPECT_THROW(streaming.push(one, workspace), InvalidArgument);
   // Mismatched lengths.
   std::vector<std::span<const Real>> uneven = {
       std::span<const Real>(record.channel(0).samples).subspan(0, 100),
       std::span<const Real>(record.channel(1).samples).subspan(0, 99)};
-  EXPECT_THROW(streaming.push(uneven), InvalidArgument);
+  EXPECT_THROW(streaming.push(uneven, workspace), InvalidArgument);
 }
 
 TEST(Streaming, ConstructorValidation) {

@@ -4,8 +4,9 @@
 // exactly — per window, across window lengths that exercise both FFT
 // code paths and the odd-length DWT periodization, and when one
 // long-lived workspace is reused across windows and geometries (the
-// per-session pattern the streaming engine uses). Also covers the
-// scratch-aware stats / entropy overloads the extractors are built on.
+// pattern the streaming engine uses, one workspace per Engine). Also
+// covers quantile_from_sorted and the scratch-aware entropy overloads the
+// extractors are built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,19 +103,6 @@ TEST(WorkspaceParity, QuantileFromSortedMatchesQuantile) {
   for (const Real q : {0.0, 0.25, 0.5, 0.75, 0.9, 1.0}) {
     ASSERT_EQ(stats::quantile(x, q), stats::quantile_from_sorted(sorted, q))
         << "q = " << q;
-  }
-}
-
-TEST(WorkspaceParity, HjorthScratchOverloadMatches) {
-  RealVector d1;
-  RealVector d2;
-  for (const std::size_t n : {3u, 64u, 1024u}) {
-    const RealVector x = noise(n, 5 * n);
-    const stats::Hjorth expected = stats::hjorth_parameters(x);
-    const stats::Hjorth actual = stats::hjorth_parameters(x, d1, d2);
-    ASSERT_EQ(expected.activity, actual.activity);
-    ASSERT_EQ(expected.mobility, actual.mobility);
-    ASSERT_EQ(expected.complexity, actual.complexity);
   }
 }
 

@@ -126,6 +126,7 @@ TEST(ZeroAllocation, ExtractIntoStaysAllocationFreeAtEverySimdLevel) {
 TEST(ZeroAllocation, StreamingPushIsAllocationFreeWhenWarm) {
   const EglassFeatureExtractor extractor(2);
   StreamingExtractor streaming(extractor, 256.0);  // 4 s window, 1 s hop
+  dsp::Workspace workspace;
   const RealVector a = noise(256, 11);
   const RealVector b = noise(256, 12);
   const std::vector<std::span<const Real>> chunk = {a, b};
@@ -133,12 +134,12 @@ TEST(ZeroAllocation, StreamingPushIsAllocationFreeWhenWarm) {
   // Warm-up: fill the first 4 s window and emit a few hops so every ring,
   // scratch row and workspace buffer has reached its steady-state size.
   for (int i = 0; i < 8; ++i) {
-    streaming.push(chunk, sink);
+    streaming.push(chunk, sink, workspace);
   }
   const std::size_t emitted_before = sink.windows;
   const std::size_t before = esl::testing::allocation_count();
   for (int i = 0; i < 16; ++i) {
-    streaming.push(chunk, sink);
+    streaming.push(chunk, sink, workspace);
   }
   EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
   EXPECT_EQ(sink.windows - emitted_before, 16u)  // one window per 1 s chunk
