@@ -1,24 +1,21 @@
-// Microbenchmarks of the shard ingest queues: the mutex+condvar MPSC
-// queue (any number of producers) vs the lock-free SPSC ring the
-// serving tier selects when the event loop is the only producer
-// (engine/ingest_queue.hpp). Both carry identical IngestChunk payloads
-// through the same interface, so the delta is pure synchronization
-// cost: lock/unlock and condvar signalling on one side, two atomic
-// stores and a cached-head check on the other.
+// Microbenchmarks of the shard ingest queue (engine/ingest_queue.hpp):
+// one mutex+condvar MPSC queue carrying small IngestChunk payloads, so
+// the numbers are the synchronization and copy cost one ingest call
+// pays on top of feature extraction — lock/unlock, the chunk copy and
+// condvar signalling.
 //
 // Two modes:
-//  * default: Google Benchmark suite (uncontended push+drain cycle per
-//    queue type across capacities);
-//  * --json PATH: self-timed producer/consumer matrix — mutex x
-//    {1,2,4} producers, spsc x 1 producer, capacities {16,256} —
-//    reporting steady-state ops/sec and p99 push latency, written as
-//    machine-readable JSON (BENCH_queue.json in CI).
+//  * default: Google Benchmark suite (uncontended push+drain cycle
+//    across capacities);
+//  * --json PATH: self-timed producer/consumer matrix — {1,2,4}
+//    producers x capacities {16,256} — reporting steady-state ops/sec
+//    and p99 push latency, written as machine-readable JSON
+//    (BENCH_queue.json in CI).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,8 +30,6 @@ namespace {
 using namespace esl;
 using engine::IngestChunk;
 using engine::IngestQueue;
-using engine::MutexIngestQueue;
-using engine::SpscIngestQueue;
 
 constexpr std::size_t k_chunk_samples = 64;  // small: queue cost dominates
 
@@ -42,22 +37,13 @@ std::vector<std::span<const Real>> probe_chunk(const RealVector& storage) {
   return {std::span<const Real>(storage)};
 }
 
-std::unique_ptr<IngestQueue> make_queue(const std::string& kind,
-                                        std::size_t capacity) {
-  if (kind == "spsc") {
-    return std::make_unique<SpscIngestQueue>(capacity);
-  }
-  return std::make_unique<MutexIngestQueue>(capacity);
-}
-
 // --------------------------------------------------- default (GB) mode
-// Uncontended single-thread push+drain cycle: the floor each queue adds
+// Uncontended single-thread push+drain cycle: the floor the queue adds
 // to an ingest call when the consumer keeps up.
 
-template <typename Queue>
 void bm_push_drain(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
-  Queue queue(capacity);
+  IngestQueue queue(capacity);
   const RealVector storage(k_chunk_samples, 0.5);
   const auto chunk = probe_chunk(storage);
   std::vector<IngestChunk> drained;
@@ -72,34 +58,25 @@ void bm_push_drain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void bm_mutex_push_drain(benchmark::State& state) {
-  bm_push_drain<MutexIngestQueue>(state);
-}
-void bm_spsc_push_drain(benchmark::State& state) {
-  bm_push_drain<SpscIngestQueue>(state);
-}
-
-BENCHMARK(bm_mutex_push_drain)->Arg(16)->Arg(256);
-BENCHMARK(bm_spsc_push_drain)->Arg(16)->Arg(256);
+BENCHMARK(bm_push_drain)->Arg(16)->Arg(256);
 
 // --------------------------------------------------------------- --json
 // Real producer/consumer runs with per-push latency capture.
 
 struct QueueResult {
-  std::string queue;
   std::size_t producers = 0;
   std::size_t capacity = 0;
   double ops_per_s = 0.0;
   double p99_push_ns = 0.0;
 };
 
-QueueResult run_config(const std::string& kind, std::size_t producers,
-                       std::size_t capacity, std::size_t total_ops) {
+QueueResult run_config(std::size_t producers, std::size_t capacity,
+                       std::size_t total_ops) {
   using Clock = std::chrono::steady_clock;
   const std::size_t per_producer = total_ops / producers;
 
   const auto run_once = [&](bool timed) -> QueueResult {
-    const std::unique_ptr<IngestQueue> queue = make_queue(kind, capacity);
+    IngestQueue queue(capacity);
     const std::size_t expected = per_producer * producers;
 
     // The consumer runs the shard-worker loop: park when empty, drain
@@ -109,9 +86,9 @@ QueueResult run_config(const std::string& kind, std::size_t producers,
       std::vector<IngestChunk> chunks;
       std::size_t drained = 0;
       while (drained < expected) {
-        queue->wait();
-        drained += queue->pop_all(chunks);
-        queue->recycle(chunks);
+        queue.wait();
+        drained += queue.pop_all(chunks);
+        queue.recycle(chunks);
       }
     });
 
@@ -129,11 +106,11 @@ QueueResult run_config(const std::string& kind, std::size_t producers,
           // Sample every 8th push: two clock reads cost as much as the
           // push itself, so timing each one would swamp the signal.
           if ((i & 7) != 0) {
-            queue->push(i, chunk);
+            queue.push(i, chunk);
             continue;
           }
           const auto before = Clock::now();
-          queue->push(i, chunk);
+          queue.push(i, chunk);
           mine.push_back(
               std::chrono::duration<double, std::nano>(Clock::now() - before)
                   .count());
@@ -147,7 +124,7 @@ QueueResult run_config(const std::string& kind, std::size_t producers,
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - start).count();
 
-    QueueResult result{kind, producers, capacity, 0.0, 0.0};
+    QueueResult result{producers, capacity, 0.0, 0.0};
     if (!timed) {
       return result;
     }
@@ -168,28 +145,18 @@ QueueResult run_config(const std::string& kind, std::size_t producers,
 
 int run_json_mode(const std::string& path) {
   constexpr std::size_t k_total_ops = 200000;
-  struct Config {
-    const char* queue;
-    std::size_t producers;
-  };
-  // The spsc ring's contract is one producer; the mutex queue covers the
-  // multi-producer shapes the in-process service sees.
-  const Config configs[] = {
-      {"mutex", 1}, {"mutex", 2}, {"mutex", 4}, {"spsc", 1}};
-
   std::vector<QueueResult> results;
-  for (const Config& config : configs) {
+  for (const std::size_t producers : {1u, 2u, 4u}) {
     for (const std::size_t capacity : {16u, 256u}) {
-      results.push_back(run_config(config.queue, config.producers, capacity,
-                                   k_total_ops));
+      results.push_back(run_config(producers, capacity, k_total_ops));
     }
   }
 
-  std::printf("%-8s %10s %9s %14s %13s\n", "queue", "producers", "capacity",
-              "ops/s", "p99 push ns");
+  std::printf("%10s %9s %14s %13s\n", "producers", "capacity", "ops/s",
+              "p99 push ns");
   for (const QueueResult& r : results) {
-    std::printf("%-8s %10zu %9zu %14.0f %13.0f\n", r.queue.c_str(),
-                r.producers, r.capacity, r.ops_per_s, r.p99_push_ns);
+    std::printf("%10zu %9zu %14.0f %13.0f\n", r.producers, r.capacity,
+                r.ops_per_s, r.p99_push_ns);
   }
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -201,10 +168,11 @@ int run_json_mode(const std::string& path) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const QueueResult& r = results[i];
     std::fprintf(f,
-                 "    {\"queue\": \"%s\", \"producers\": %zu, \"capacity\": "
-                 "%zu, \"ops_per_s\": %.1f, \"p99_push_ns\": %.1f}%s\n",
-                 r.queue.c_str(), r.producers, r.capacity, r.ops_per_s,
-                 r.p99_push_ns, i + 1 < results.size() ? "," : "");
+                 "    {\"queue\": \"mutex\", \"producers\": %zu, "
+                 "\"capacity\": %zu, \"ops_per_s\": %.1f, "
+                 "\"p99_push_ns\": %.1f}%s\n",
+                 r.producers, r.capacity, r.ops_per_s, r.p99_push_ns,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -19,10 +19,9 @@
 // interfaces), or lock *ordering* (deadlock freedom) — TSan in CI stays
 // the runtime net for those. std::atomic is likewise outside the lock
 // model entirely: the analysis has no vocabulary for ordering between
-// atomic operations, so lock-free structures (the SPSC ingest ring in
-// engine/ingest_queue.hpp) state their single-producer/single-consumer
-// discipline and memory-ordering contract in comments at the definition
-// and rely on the TSan suites to catch violations at runtime.
+// atomic operations, so lock-free code states its threading discipline
+// and memory-ordering contract in comments at the definition and relies
+// on the TSan suites to catch violations at runtime.
 //
 // Usage rules (enforced by tools/lint_invariants.py in CI):
 //   * no naked std::mutex / std::condition_variable outside this header —

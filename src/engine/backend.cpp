@@ -94,15 +94,7 @@ void ThreadPoolBackend::start(std::vector<std::unique_ptr<Shard>>& shards,
   stopping_.store(false, std::memory_order_relaxed);
   workers_.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    auto worker = std::make_unique<Worker>();
-    if (config_.single_producer) {
-      worker->queue =
-          std::make_unique<SpscIngestQueue>(config_.queue_capacity);
-    } else {
-      worker->queue =
-          std::make_unique<MutexIngestQueue>(config_.queue_capacity);
-    }
-    workers_.push_back(std::move(worker));
+    workers_.push_back(std::make_unique<Worker>(config_.queue_capacity));
   }
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     workers_[i]->thread = std::thread([this, i] { run_worker(i); });
@@ -119,7 +111,7 @@ void ThreadPoolBackend::stop() {
   flush_barrier();
   stopping_.store(true, std::memory_order_release);
   for (const auto& worker : workers_) {
-    worker->queue->wake();
+    worker->queue.wake();
   }
   for (const auto& worker : workers_) {
     if (worker->thread.joinable()) {
@@ -127,7 +119,7 @@ void ThreadPoolBackend::stop() {
     }
   }
   for (const auto& worker : workers_) {
-    worker->queue->close();
+    worker->queue.close();
   }
   workers_.clear();
   shards_ = nullptr;
@@ -140,7 +132,7 @@ void ThreadPoolBackend::ingest(
     const std::vector<std::span<const Real>>& chunk) {
   ensures(shard.index < workers_.size(),
           "ThreadPoolBackend: ingest before start");
-  workers_[shard.index]->queue->push(local_id, chunk);
+  workers_[shard.index]->queue.push(local_id, chunk);
 }
 
 void ThreadPoolBackend::flush() {
@@ -201,7 +193,7 @@ void ThreadPoolBackend::run_barrier(
   for (const std::uint32_t index : shard_indices) {
     ensures(index < workers_.size(), "ThreadPoolBackend: bad shard index");
     barrier->legs.emplace_back(static_cast<std::size_t>(index),
-                               workers_[index]->queue->pushed());
+                               workers_[index]->queue.pushed());
   }
   if (barrier->legs.empty()) {
     if (barrier->callback) {
@@ -220,7 +212,7 @@ void ThreadPoolBackend::run_barrier(
   // registered barrier: workers may already be erasing its legs — and,
   // on the async path, the whole barrier.
   for (const std::uint32_t index : shard_indices) {
-    workers_[index]->queue->wake();
+    workers_[index]->queue.wake();
   }
   if (!sync) {
     return;  // the confirming worker runs the callback and erases it
@@ -256,10 +248,10 @@ void ThreadPoolBackend::run_worker(std::size_t index) {
   std::vector<std::function<void()>> ready_callbacks;
 
   while (true) {
-    worker.queue->wait();
+    worker.queue.wait();
 
     chunks.clear();
-    worker.queue->pop_all(chunks);
+    worker.queue.pop_all(chunks);
     if (!chunks.empty()) {
       try {
         detections.clear();
@@ -284,7 +276,7 @@ void ThreadPoolBackend::run_worker(std::size_t index) {
           worker_error_ = std::current_exception();
         }
       }
-      worker.queue->recycle(chunks);
+      worker.queue.recycle(chunks);
     }
 
     // Barrier scan. A leg of this worker's confirms once the queue's
@@ -296,7 +288,7 @@ void ThreadPoolBackend::run_worker(std::size_t index) {
     bool notify = false;
     {
       MutexLock lock(flush_mutex_);
-      const std::uint64_t done = worker.queue->popped();
+      const std::uint64_t done = worker.queue.popped();
       for (auto it = barriers_.begin(); it != barriers_.end();) {
         FlushBarrier& barrier = **it;
         auto& legs = barrier.legs;
@@ -329,7 +321,7 @@ void ThreadPoolBackend::run_worker(std::size_t index) {
     ready_callbacks.clear();
 
     if (stopping_.load(std::memory_order_acquire) &&
-        worker.queue->size() == 0) {
+        worker.queue.size() == 0) {
       return;
     }
   }

@@ -10,10 +10,9 @@
 //     queues; the right choice for tests, embedding, and single-core
 //     edge gateways.
 //   * ThreadPoolBackend — one worker thread per shard. ingest() copies
-//     the chunk into the shard's bounded IngestQueue (mutex MPSC by
-//     default, lock-free SPSC when the owner declares a single
-//     producer) and returns; the worker drains the queue, runs
-//     Engine::ingest + poll off the caller's thread, and delivers
+//     the chunk into the shard's bounded IngestQueue (one mutex, any
+//     number of producers) and returns; the worker drains the queue,
+//     runs Engine::ingest + poll off the caller's thread, and delivers
 //     detections to the DetectionSink. flush() is a barrier: every
 //     chunk enqueued before it has been windowed, classified, and
 //     delivered when it returns; flush_shards()/flush_shards_async()
@@ -192,11 +191,6 @@ class InlineBackend final : public ExecutionBackend {
 struct ThreadPoolConfig {
   /// Bounded chunks per shard ingest queue; producers block when full.
   std::size_t queue_capacity = 64;
-  /// When the owner guarantees at most one thread calls ingest() at a
-  /// time (per shard), each shard gets the lock-free SpscIngestQueue
-  /// instead of the mutex MPSC queue. The ShardServer's single event
-  /// loop is exactly this case. Violating the contract is a data race.
-  bool single_producer = false;
 };
 
 /// One worker thread per shard; chunks flow through bounded ingest
@@ -219,13 +213,15 @@ class ThreadPoolBackend final : public ExecutionBackend {
 
  private:
   struct Worker {
-    std::unique_ptr<IngestQueue> queue;
+    explicit Worker(std::size_t queue_capacity) : queue(queue_capacity) {}
+
+    IngestQueue queue;
     std::thread thread;
   };
 
   /// One outstanding scoped barrier. Each covered worker owns one leg
-  /// (its index plus the queue->pushed() watermark snapshotted when the
-  /// barrier was made); a worker confirms its leg once queue->popped()
+  /// (its index plus the queue.pushed() watermark snapshotted when the
+  /// barrier was made); a worker confirms its leg once queue.popped()
   /// reaches the watermark *at its post-delivery scan point* — popped()
   /// advances in pop_all, before detections reach the sink, so legs are
   /// never pre-filtered at creation. When the last leg confirms, the

@@ -1,36 +1,24 @@
-// Bounded ingest queues for threaded execution backends.
+// Bounded ingest queue for the threaded execution backend.
 //
 // Radio packets (EEG chunks) arrive on producer threads; each shard's
-// worker thread drains them into its Engine. Both implementations copy
-// the caller's sample spans into owned per-chunk storage (the spans are
-// only valid during the ingest call), bound memory with a blocking push
+// worker thread drains them into its Engine. The queue copies the
+// caller's sample spans into owned per-chunk storage (the spans are only
+// valid during the ingest call), bounds memory with a blocking push
 // (backpressure instead of unbounded growth when a shard falls behind),
-// and recycle consumed chunk storage through a free pool so steady-state
-// streaming does not allocate.
+// and recycles consumed chunk storage through a free pool so
+// steady-state streaming does not allocate.
 //
-// Two implementations behind one interface:
-//
-//   * MutexIngestQueue — multi-producer / single-consumer, one mutex.
-//     FIFO order is global across producers: the order push() calls
-//     commit is the order pop_all() hands chunks to the consumer, which
-//     is what makes per-session window order — and therefore detection
-//     parity with a single-threaded Engine — hold under the
-//     ThreadPoolBackend.
-//   * SpscIngestQueue — single-producer / single-consumer lock-free
-//     ring for the serving hot path, where the ShardServer's event-loop
-//     thread is the only producer. push()/pop_all() touch no lock in
-//     steady state; a mutex-parked condvar handles the cold edges
-//     (empty-queue waits, full-queue backpressure) with the same
-//     blocking semantics as the mutex queue.
-//
-// The SPSC contract: push() may be called from at most one thread at a
-// time (an external happens-before edge is required to migrate the
-// producer role); pop_all()/recycle()/wait() belong to the single
-// consumer thread; wake()/close()/size()/pushed()/popped() are safe from
+// Multi-producer / single-consumer, serialized by one mutex. FIFO order
+// is global across producers: the order push() calls commit is the
+// order pop_all() hands chunks to the consumer, which is what makes
+// per-session window order — and therefore detection parity with a
+// single-threaded Engine — hold under the ThreadPoolBackend, whether the
+// producers are many service callers or the ShardServer's one event
+// loop. pop_all()/recycle()/wait() belong to the single consumer
+// thread; push()/wake()/close()/size()/pushed()/popped() are safe from
 // any thread.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,69 +36,48 @@ struct IngestChunk {
 };
 
 /// Bounded FIFO of IngestChunks between ingest producers and one shard
-/// worker. See the header comment for the two implementations and the
-/// producer contract each one requires.
+/// worker.
 class IngestQueue {
  public:
-  virtual ~IngestQueue() = default;
+  /// `capacity` bounds the number of queued chunks (>= 1); producers
+  /// block in push() while the queue is full.
+  explicit IngestQueue(std::size_t capacity);
 
   /// Copies `chunk` (one span per channel) into owned storage and
   /// enqueues it, blocking while the queue is full. Returns false when
   /// the queue was closed (the chunk is dropped).
-  virtual bool push(std::uint64_t session_id,
-                    const std::vector<std::span<const Real>>& chunk) = 0;
+  bool push(std::uint64_t session_id,
+            const std::vector<std::span<const Real>>& chunk);
 
   /// Moves every queued chunk onto the back of `out` (consumer side);
   /// returns how many were moved.
-  virtual std::size_t pop_all(std::vector<IngestChunk>& out) = 0;
+  std::size_t pop_all(std::vector<IngestChunk>& out);
 
   /// Returns consumed chunks' storage to the free pool for reuse by
   /// later pushes; clears `consumed`. Consumer side.
-  virtual void recycle(std::vector<IngestChunk>& consumed) = 0;
+  void recycle(std::vector<IngestChunk>& consumed);
 
   /// Blocks the consumer until the queue is non-empty, wake() is called,
   /// or the queue is closed. A wake() issued while the consumer is not
   /// waiting is latched (the next wait() returns immediately).
-  virtual void wait() = 0;
+  void wait();
 
   /// Wakes a (possibly future) wait() — used to signal flush/stop.
-  virtual void wake() = 0;
+  void wake();
 
   /// Closes the queue: blocked and future producers fail fast, and
   /// wait() no longer blocks. Queued chunks stay poppable.
-  virtual void close() = 0;
+  void close();
 
-  virtual std::size_t size() const = 0;
-  virtual std::size_t capacity() const = 0;
+  std::size_t size() const;
+  std::size_t capacity() const { return capacity_; }
 
   /// Total chunks ever enqueued / dequeued. `pushed() - popped()` is the
   /// current backlog; flush barriers capture pushed() as a watermark and
   /// wait for popped() to reach it, so a barrier completes even while
   /// producers keep streaming new chunks past it.
-  virtual std::uint64_t pushed() const = 0;
-  virtual std::uint64_t popped() const = 0;
-};
-
-/// Bounded multi-producer / single-consumer FIFO, serialized by one
-/// mutex. The fallback whenever more than one thread may ingest into a
-/// shard concurrently.
-class MutexIngestQueue final : public IngestQueue {
- public:
-  /// `capacity` bounds the number of queued chunks (>= 1); producers
-  /// block in push() while the queue is full.
-  explicit MutexIngestQueue(std::size_t capacity);
-
-  bool push(std::uint64_t session_id,
-            const std::vector<std::span<const Real>>& chunk) override;
-  std::size_t pop_all(std::vector<IngestChunk>& out) override;
-  void recycle(std::vector<IngestChunk>& consumed) override;
-  void wait() override;
-  void wake() override;
-  void close() override;
-  std::size_t size() const override;
-  std::size_t capacity() const override { return capacity_; }
-  std::uint64_t pushed() const override;
-  std::uint64_t popped() const override;
+  std::uint64_t pushed() const;
+  std::uint64_t popped() const;
 
  private:
   const std::size_t capacity_;
@@ -125,101 +92,6 @@ class MutexIngestQueue final : public IngestQueue {
   std::uint64_t popped_ ESL_GUARDED_BY(mutex_) = 0;
   bool wake_pending_ ESL_GUARDED_BY(mutex_) = false;
   bool closed_ ESL_GUARDED_BY(mutex_) = false;
-};
-
-/// Bounded single-producer / single-consumer lock-free ring.
-//
-// Layout: `tail_` counts chunks ever pushed, `head_` chunks ever popped
-// (they double as the pushed()/popped() watermarks); slot index is
-// `count % capacity`. The counters live on their own cache lines so the
-// producer's tail stores never ping-pong the consumer's head line. The
-// producer caches the last observed head and only re-reads it when the
-// cached value says the ring looks full, so a non-contended push is one
-// relaxed load + the slot write + one tail store.
-//
-// Memory ordering, fast path: the producer publishes a slot with a
-// store to `tail_` that the consumer acquires; the consumer releases
-// slots back with a store to `head_` that the producer acquires. Each
-// side writes a slot only in the window where the counters prove the
-// other side cannot touch it.
-//
-// Memory ordering, parking: blocking (empty-queue wait, full-ring
-// backpressure) uses the classic Dekker store-buffer pattern — the
-// waiter stores its parked flag and re-reads the opposing counter, the
-// publisher stores the counter and reads the parked flag, both
-// seq_cst, so at least one side observes the other — with a final
-// re-check under `park_mutex_` (and the publisher notifying while
-// holding it) to close the check-then-sleep race. Mutex-parked condvars
-// rather than futex/atomic-wait keep the blocking edges inside what
-// TSan and the thread-safety annotations can model.
-//
-// Clang's thread-safety analysis cannot express any of this (see
-// common/annotations.hpp) — the discipline here is enforced by the
-// single-producer contract, this comment, and the TSan suites that run
-// the ring end to end.
-class SpscIngestQueue final : public IngestQueue {
- public:
-  explicit SpscIngestQueue(std::size_t capacity);
-
-  bool push(std::uint64_t session_id,
-            const std::vector<std::span<const Real>>& chunk) override;
-  std::size_t pop_all(std::vector<IngestChunk>& out) override;
-  void recycle(std::vector<IngestChunk>& consumed) override;
-  void wait() override;
-  void wake() override;
-  void close() override;
-  std::size_t size() const override;
-  std::size_t capacity() const override { return capacity_; }
-  std::uint64_t pushed() const override {
-    return tail_.load(std::memory_order_acquire);
-  }
-  std::uint64_t popped() const override {
-    return head_.load(std::memory_order_acquire);
-  }
-
- private:
-  /// Parks the producer until the ring has room, the queue closes, or a
-  /// spurious wake re-checks; returns once `tail - head < capacity` or
-  /// closed.
-  void wait_not_full(std::uint64_t tail);
-
-  const std::size_t capacity_;
-  /// Ring storage; slot i holds chunk number n where n % capacity_ == i.
-  /// Slots keep their heap storage after consumption (pop_all swaps in a
-  /// recycled chunk), so steady-state pushes only copy samples.
-  std::vector<IngestChunk> slots_;
-
-  /// Chunks ever pushed; written by the producer, read by everyone.
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-  /// Chunks ever popped; written by the consumer, read by everyone.
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  /// Producer-private cache of head_ (avoids the cross-core load while
-  /// the ring is known to have room) and the producer's strength-reduced
-  /// slot index (== tail_ % capacity_, maintained by wrap-around so the
-  /// hot path never pays a runtime-divisor modulo).
-  alignas(64) std::uint64_t cached_head_ = 0;
-  std::size_t tail_slot_ = 0;
-
-  /// Consumer-private recycle pool and slot index (== head_ % capacity_,
-  /// same wrap-around trick); pop_all swaps pool chunks into vacated
-  /// ring slots so their capacity is reused by later pushes.
-  std::vector<IngestChunk> pool_;
-  std::size_t head_slot_ = 0;
-
-  // Parking (cold path only). park_epoch_ counts consumer park episodes
-  // (incremented, seq_cst, before each parked-flag publish); the
-  // producer notifies at most once per episode (notified_epoch_ is
-  // producer-private), so pushes issued while the woken consumer is
-  // runnable-but-not-yet-scheduled skip the mutex+condvar entirely.
-  mutable Mutex park_mutex_;
-  CondVar consumer_cv_;
-  CondVar producer_cv_;
-  std::atomic<bool> consumer_parked_{false};
-  std::atomic<bool> producer_parked_{false};
-  std::atomic<std::uint64_t> park_epoch_{0};
-  std::uint64_t notified_epoch_ = 0;
-  std::atomic<bool> wake_pending_{false};
-  std::atomic<bool> closed_{false};
 };
 
 }  // namespace esl::engine

@@ -373,16 +373,10 @@ std::vector<std::string> EglassFeatureExtractor::feature_names() const {
 RealVector EglassFeatureExtractor::extract(
     const std::vector<std::span<const Real>>& channels,
     Real sample_rate_hz) const {
-  RealVector out;
-  extract_into(channels, sample_rate_hz, out);
-  return out;
-}
-
-void EglassFeatureExtractor::extract_into(
-    const std::vector<std::span<const Real>>& channels, Real sample_rate_hz,
-    RealVector& out) const {
   dsp::Workspace workspace;
+  RealVector out;
   extract_into(channels, sample_rate_hz, out, workspace);
+  return out;
 }
 
 void EglassFeatureExtractor::extract_into(

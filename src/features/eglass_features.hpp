@@ -31,15 +31,9 @@ class EglassFeatureExtractor final : public WindowFeatureExtractor {
   std::size_t required_channels() const override { return channels_; }
   RealVector extract(const std::vector<std::span<const Real>>& channels,
                      Real sample_rate_hz) const override;
-  /// Streaming hot path: appends into the caller's reused row buffer
-  /// instead of allocating a fresh vector per window (DSP temporaries
-  /// come from a per-call workspace; use the overload below to reuse one).
-  void extract_into(const std::vector<std::span<const Real>>& channels,
-                    Real sample_rate_hz, RealVector& out) const override;
   /// Zero-allocation hot path: all 54 features per channel computed from
   /// the caller-owned workspace — after the first window of a given
-  /// geometry, no heap allocation at all. Bit-identical to the overloads
-  /// above.
+  /// geometry, no heap allocation at all. Bit-identical to extract().
   void extract_into(const std::vector<std::span<const Real>>& channels,
                     Real sample_rate_hz, RealVector& out,
                     dsp::Workspace& workspace) const override;

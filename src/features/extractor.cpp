@@ -41,7 +41,7 @@ WindowedFeatures extract_windowed_features(const signal::EegRecord& record,
       record.length_samples(), record.sample_rate_hz(), window_seconds,
       overlap);
 
-  const std::size_t feature_count = extractor.feature_names().size();
+  const std::size_t feature_count = extractor.feature_count();
   WindowedFeatures out;
   out.window_seconds = window_seconds;
   out.hop_seconds =

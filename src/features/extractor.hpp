@@ -39,29 +39,20 @@ class WindowFeatureExtractor {
       const std::vector<std::span<const Real>>& channels,
       Real sample_rate_hz) const = 0;
 
-  /// Allocation-aware variant for streaming hot paths: writes the feature
-  /// row into `out` (cleared, capacity retained). Extractors that build
-  /// their row incrementally override this so a caller-owned scratch row
-  /// is reused window after window; the default delegates to extract().
-  virtual void extract_into(const std::vector<std::span<const Real>>& channels,
-                            Real sample_rate_hz, RealVector& out) const {
-    out = extract(channels, sample_rate_hz);
-  }
-
-  /// Workspace-threaded variant: like extract_into above, but all DSP and
-  /// statistics temporaries come from the caller-owned `workspace`, so a
-  /// warm (extractor, window-geometry, workspace) triple computes the row
-  /// with zero heap allocations. Results are bit-identical to the
-  /// workspace-free overloads. A workspace may serve any number of
-  /// streams, one call at a time — never share one across threads (see
-  /// dsp/workspace.hpp). The default ignores the
-  /// workspace and delegates, so extractors without a zero-alloc path
-  /// keep working behind the same seam.
+  /// Hot-path variant: writes the feature row into `out` (cleared,
+  /// capacity retained) with all DSP and statistics temporaries taken
+  /// from the caller-owned `workspace`, so a warm (extractor,
+  /// window-geometry, workspace) triple computes the row with zero heap
+  /// allocations. Results are bit-identical to extract(). A workspace may
+  /// serve any number of streams, one call at a time — never share one
+  /// across threads (see dsp/workspace.hpp). The default ignores the
+  /// workspace and assigns extract(), so extractors without a zero-alloc
+  /// path keep working behind the same seam.
   virtual void extract_into(const std::vector<std::span<const Real>>& channels,
                             Real sample_rate_hz, RealVector& out,
                             dsp::Workspace& workspace) const {
     (void)workspace;
-    extract_into(channels, sample_rate_hz, out);
+    out = extract(channels, sample_rate_hz);
   }
 
   /// Number of output features (== feature_names().size()). Sessions

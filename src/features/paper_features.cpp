@@ -30,16 +30,10 @@ std::vector<std::string> PaperFeatureExtractor::feature_names() const {
 RealVector PaperFeatureExtractor::extract(
     const std::vector<std::span<const Real>>& channels,
     Real sample_rate_hz) const {
-  RealVector out;
-  extract_into(channels, sample_rate_hz, out);
-  return out;
-}
-
-void PaperFeatureExtractor::extract_into(
-    const std::vector<std::span<const Real>>& channels, Real sample_rate_hz,
-    RealVector& out) const {
   dsp::Workspace workspace;
+  RealVector out;
   extract_into(channels, sample_rate_hz, out, workspace);
+  return out;
 }
 
 void PaperFeatureExtractor::extract_into(

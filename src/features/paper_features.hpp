@@ -34,9 +34,6 @@ class PaperFeatureExtractor final : public WindowFeatureExtractor {
   std::size_t required_channels() const override { return 2; }
   RealVector extract(const std::vector<std::span<const Real>>& channels,
                      Real sample_rate_hz) const override;
-  /// Row-buffer variant (workspace created per call).
-  void extract_into(const std::vector<std::span<const Real>>& channels,
-                    Real sample_rate_hz, RealVector& out) const override;
   /// Zero-allocation variant: PSD/DWT/entropy scratch comes from the
   /// caller-owned workspace. Bit-identical to extract().
   void extract_into(const std::vector<std::span<const Real>>& channels,

@@ -30,11 +30,7 @@ WireErrorCode code_of(const Error& error) {
 
 std::unique_ptr<engine::ExecutionBackend> make_backend(bool threaded) {
   if (threaded) {
-    engine::ThreadPoolConfig config;
-    // The event loop is the only thread that ever calls ingest, so each
-    // shard queue can run the lock-free SPSC fast path.
-    config.single_producer = true;
-    return std::make_unique<engine::ThreadPoolBackend>(config);
+    return std::make_unique<engine::ThreadPoolBackend>();
   }
   return std::make_unique<engine::InlineBackend>();
 }

@@ -23,8 +23,9 @@
 // buffer (the loop stops reading a connection only while poll says so);
 // server -> client detection flow is absorbed by the outbox, bounded in
 // practice by the flush cadence. Under the threaded backend the loop
-// thread is the only ingest producer, so each shard queue runs the
-// lock-free SPSC fast path (engine/ingest_queue.hpp).
+// thread is the only producer into each shard's bounded IngestQueue
+// (engine/ingest_queue.hpp); a full queue blocks the loop until that
+// shard's worker drains it.
 //
 // Flush: a kFlush barriers only the requesting connection's sessions
 // (their shards), asynchronously — the loop registers the scoped

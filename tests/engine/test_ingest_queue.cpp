@@ -15,12 +15,14 @@ std::vector<std::span<const Real>> encode(const Real& storage) {
   return {std::span<const Real>(&storage, 1)};
 }
 
+// IngestQueue is the mutex MPSC queue; the suite is named for that.
+
 TEST(MutexIngestQueueTest, RejectsZeroCapacity) {
-  EXPECT_THROW(MutexIngestQueue(0), InvalidArgument);
+  EXPECT_THROW(IngestQueue(0), InvalidArgument);
 }
 
 TEST(MutexIngestQueueTest, FifoOrderAndOwnedCopies) {
-  MutexIngestQueue queue(8);
+  IngestQueue queue(8);
   for (int i = 0; i < 5; ++i) {
     const Real sample = static_cast<Real>(i);
     // The span dies right after push: the queue must have copied it.
@@ -41,7 +43,7 @@ TEST(MutexIngestQueueTest, FifoOrderAndOwnedCopies) {
 }
 
 TEST(MutexIngestQueueTest, RecycledStorageIsReused) {
-  MutexIngestQueue queue(4);
+  IngestQueue queue(4);
   const Real sample = 1.0;
   ASSERT_TRUE(queue.push(0, encode(sample)));
   std::vector<IngestChunk> chunks;
@@ -57,7 +59,7 @@ TEST(MutexIngestQueueTest, RecycledStorageIsReused) {
 }
 
 TEST(MutexIngestQueueTest, BoundedPushBlocksUntilConsumerDrains) {
-  MutexIngestQueue queue(2);
+  IngestQueue queue(2);
   const Real sample = 0.0;
   ASSERT_TRUE(queue.push(0, encode(sample)));
   ASSERT_TRUE(queue.push(1, encode(sample)));
@@ -82,7 +84,7 @@ TEST(MutexIngestQueueTest, BoundedPushBlocksUntilConsumerDrains) {
 }
 
 TEST(MutexIngestQueueTest, CloseUnblocksAndFailsProducers) {
-  MutexIngestQueue queue(1);
+  IngestQueue queue(1);
   const Real sample = 0.0;
   ASSERT_TRUE(queue.push(0, encode(sample)));  // now full
 
@@ -103,7 +105,7 @@ TEST(MutexIngestQueueTest, CloseUnblocksAndFailsProducers) {
 }
 
 TEST(MutexIngestQueueTest, WakeIsLatchedForTheNextWait) {
-  MutexIngestQueue queue(1);
+  IngestQueue queue(1);
   queue.wake();
   queue.wait();  // must return immediately instead of blocking forever
   SUCCEED();
@@ -112,7 +114,7 @@ TEST(MutexIngestQueueTest, WakeIsLatchedForTheNextWait) {
 TEST(MutexIngestQueueTest, MultiProducerOrderIsPerProducerFifo) {
   constexpr std::size_t k_producers = 4;
   constexpr std::size_t k_per_producer = 64;
-  MutexIngestQueue queue(8);
+  IngestQueue queue(8);
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < k_producers; ++p) {
@@ -147,126 +149,8 @@ TEST(MutexIngestQueueTest, MultiProducerOrderIsPerProducerFifo) {
   }
 }
 
-// ---------------------------------------------------------------------
-// SpscIngestQueue: same observable contract (single producer), lock-free
-// ring underneath. The suites mirror the mutex queue's so any behavioral
-// divergence shows up as a named test, not a parity mystery.
-
-TEST(SpscIngestQueueTest, RejectsZeroCapacity) {
-  EXPECT_THROW(SpscIngestQueue(0), InvalidArgument);
-}
-
-TEST(SpscIngestQueueTest, FifoOrderAndOwnedCopies) {
-  SpscIngestQueue queue(8);
-  for (int i = 0; i < 5; ++i) {
-    const Real sample = static_cast<Real>(i);
-    ASSERT_TRUE(queue.push(static_cast<std::uint64_t>(i), encode(sample)));
-  }
-  EXPECT_EQ(queue.size(), 5u);
-
-  std::vector<IngestChunk> chunks;
-  EXPECT_EQ(queue.pop_all(chunks), 5u);
-  EXPECT_EQ(queue.size(), 0u);
-  ASSERT_EQ(chunks.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(chunks[i].session_id, static_cast<std::uint64_t>(i));
-    ASSERT_EQ(chunks[i].channels.size(), 1u);
-    ASSERT_EQ(chunks[i].channels[0].size(), 1u);
-    EXPECT_EQ(chunks[i].channels[0][0], static_cast<Real>(i));
-  }
-}
-
-TEST(SpscIngestQueueTest, RecycledStorageIsReusedInSteadyState) {
-  // Unlike the mutex queue (whose producer takes straight from the
-  // pool), the ring recycles with one lap of latency: pop_all swaps a
-  // pooled chunk into the slot it just emptied, and the *next* push to
-  // that slot reuses the storage. Capacity 1 makes every push hit the
-  // same slot so the rotation is visible.
-  SpscIngestQueue queue(1);
-  const Real sample = 1.0;
-  std::vector<IngestChunk> chunks;
-
-  // Lap 1: the empty slot allocates storage A; pop hands it out.
-  ASSERT_TRUE(queue.push(0, encode(sample)));
-  queue.pop_all(chunks);
-  const Real* storage_a = chunks[0].channels[0].data();
-  queue.recycle(chunks);  // A enters the consumer's pool
-  EXPECT_TRUE(chunks.empty());
-
-  // Lap 2: the still-empty slot allocates storage B; the pop swaps A
-  // back into the slot and hands out B.
-  ASSERT_TRUE(queue.push(1, encode(sample)));
-  queue.pop_all(chunks);
-  const Real* storage_b = chunks[0].channels[0].data();
-  EXPECT_NE(storage_b, storage_a);
-  queue.recycle(chunks);
-
-  // Steady state: A and B rotate forever; the ring never allocates
-  // again.
-  ASSERT_TRUE(queue.push(2, encode(sample)));
-  queue.pop_all(chunks);
-  EXPECT_EQ(chunks[0].channels[0].data(), storage_a);
-  queue.recycle(chunks);
-  ASSERT_TRUE(queue.push(3, encode(sample)));
-  queue.pop_all(chunks);
-  EXPECT_EQ(chunks[0].channels[0].data(), storage_b);
-}
-
-TEST(SpscIngestQueueTest, BoundedPushBlocksUntilConsumerDrains) {
-  SpscIngestQueue queue(1);
-  const Real sample = 0.0;
-  ASSERT_TRUE(queue.push(0, encode(sample)));  // ring full at capacity 1
-
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    const Real blocked_sample = 1.0;
-    queue.push(1, encode(blocked_sample));  // blocks: no free slot
-    second_pushed.store(true);
-  });
-
-  std::vector<IngestChunk> chunks;
-  while (chunks.size() < 2) {
-    queue.pop_all(chunks);
-    std::this_thread::yield();
-  }
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  ASSERT_EQ(chunks.size(), 2u);
-  EXPECT_EQ(chunks[0].session_id, 0u);
-  EXPECT_EQ(chunks[1].session_id, 1u);
-  EXPECT_EQ(chunks[1].channels[0][0], 1.0);
-}
-
-TEST(SpscIngestQueueTest, CloseUnblocksAndFailsProducers) {
-  SpscIngestQueue queue(1);
-  const Real sample = 0.0;
-  ASSERT_TRUE(queue.push(0, encode(sample)));  // now full
-
-  std::atomic<bool> result{true};
-  std::thread producer([&] {
-    const Real blocked_sample = 1.0;
-    result.store(queue.push(1, encode(blocked_sample)));
-  });
-  queue.close();
-  producer.join();
-  EXPECT_FALSE(result.load());               // blocked push failed fast
-  const Real late = 2.0;
-  EXPECT_FALSE(queue.push(2, encode(late)));  // and so do later pushes
-
-  // Chunks enqueued before close stay poppable.
-  std::vector<IngestChunk> chunks;
-  EXPECT_EQ(queue.pop_all(chunks), 1u);
-}
-
-TEST(SpscIngestQueueTest, WakeIsLatchedForTheNextWait) {
-  SpscIngestQueue queue(1);
-  queue.wake();
-  queue.wait();  // must return immediately instead of blocking forever
-  SUCCEED();
-}
-
-TEST(SpscIngestQueueTest, WatermarksCountPushesAndPops) {
-  SpscIngestQueue queue(4);
+TEST(MutexIngestQueueTest, WatermarksCountPushesAndPops) {
+  IngestQueue queue(4);
   EXPECT_EQ(queue.pushed(), 0u);
   EXPECT_EQ(queue.popped(), 0u);
 
@@ -281,38 +165,6 @@ TEST(SpscIngestQueueTest, WatermarksCountPushesAndPops) {
   EXPECT_EQ(queue.pushed(), 2u);
   EXPECT_EQ(queue.popped(), 2u);
   EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(SpscIngestQueueTest, SingleProducerStreamIsFifoUnderConcurrency) {
-  constexpr std::size_t k_chunks = 512;
-  SpscIngestQueue queue(8);
-
-  std::thread producer([&] {
-    for (std::size_t i = 0; i < k_chunks; ++i) {
-      const Real sample = static_cast<Real>(i);
-      ASSERT_TRUE(queue.push(i, encode(sample)));
-    }
-  });
-
-  std::vector<IngestChunk> batch;
-  std::size_t next = 0;
-  while (next < k_chunks) {
-    queue.wait();
-    queue.pop_all(batch);
-    for (const IngestChunk& chunk : batch) {
-      ASSERT_EQ(chunk.session_id, next);
-      ASSERT_EQ(chunk.channels[0][0], static_cast<Real>(next));
-      ++next;
-    }
-    queue.recycle(batch);
-    if (next >= k_chunks) {
-      break;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(next, k_chunks);
-  EXPECT_EQ(queue.pushed(), k_chunks);
-  EXPECT_EQ(queue.popped(), k_chunks);
 }
 
 }  // namespace

@@ -711,61 +711,6 @@ TEST_F(ServiceTest, BoundedQueueBackpressurePreservesParity) {
   }
 }
 
-TEST_F(ServiceTest, SingleProducerQueueParityAcrossShardCounts) {
-  // The SPSC fast path must be observationally identical to the mutex
-  // queue: same workload, driven from one producer thread (the SPSC
-  // contract), bit-for-bit the single-Engine reference at every shard
-  // count.
-  const std::vector<std::vector<WindowOutcome>> reference =
-      reference_outcomes();
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("spsc x " + std::to_string(shards) + " shards");
-    ServiceConfig config;
-    config.shards = shards;
-    config.engine = screened_config();
-    ThreadPoolConfig pool;
-    pool.single_producer = true;
-    DetectionService service(*fleet_, config,
-                             std::make_unique<ThreadPoolBackend>(pool));
-    std::vector<SessionHandle> handles;
-    for (std::size_t s = 0; s < k_sessions; ++s) {
-      handles.push_back(service.create_session(s, SessionConfig{}));
-    }
-    const auto outcomes = service_outcomes(service, handles);
-    for (std::size_t s = 0; s < k_sessions; ++s) {
-      SCOPED_TRACE("session " + std::to_string(s));
-      const auto it = outcomes.find(handles[s].value);
-      ASSERT_NE(it, outcomes.end());
-      EXPECT_EQ(it->second, reference[s]);
-    }
-  }
-}
-
-TEST_F(ServiceTest, SingleProducerBackpressureAtCapacityOnePreservesParity) {
-  // Capacity 1 forces the SPSC producer through its blocking slow path
-  // on nearly every push; ordering and parity must survive.
-  const std::vector<std::vector<WindowOutcome>> reference =
-      reference_outcomes();
-  ServiceConfig config;
-  config.shards = 2;
-  config.engine = screened_config();
-  ThreadPoolConfig pool;
-  pool.single_producer = true;
-  pool.queue_capacity = 1;
-  DetectionService service(*fleet_, config,
-                           std::make_unique<ThreadPoolBackend>(pool));
-  std::vector<SessionHandle> handles;
-  for (std::size_t s = 0; s < k_sessions; ++s) {
-    handles.push_back(service.create_session(s, SessionConfig{}));
-  }
-  const auto outcomes = service_outcomes(service, handles);
-  for (std::size_t s = 0; s < k_sessions; ++s) {
-    const auto it = outcomes.find(handles[s].value);
-    ASSERT_NE(it, outcomes.end()) << "session " << s;
-    EXPECT_EQ(it->second, reference[s]) << "session " << s;
-  }
-}
-
 TEST_F(ServiceTest, ScopedFlushDeliversFullBarrierSemanticsForCoveredSessions) {
   // flush_sessions({h}) must behave exactly like flush() as far as
   // session h is concerned: every chunk ingested before the call is

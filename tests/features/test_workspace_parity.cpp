@@ -75,7 +75,8 @@ TEST(WorkspaceParity, PaperExtractIntoMatchesExtract) {
 
 TEST(WorkspaceParity, DefaultSeamIgnoresWorkspace) {
   // An extractor without a zero-alloc override must still work behind the
-  // workspace seam (the base class delegates to the 3-argument overload).
+  // workspace seam (the base class ignores the workspace and assigns
+  // extract()).
   class MeanOnly final : public WindowFeatureExtractor {
    public:
     std::vector<std::string> feature_names() const override {

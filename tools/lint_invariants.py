@@ -24,9 +24,8 @@ Checks (all scoped to src/):
    esl::Mutex / esl::MutexLock / esl::CondVar so Clang's
    -Wthread-safety analysis sees every acquisition (a naked std::mutex
    is invisible to it). std::atomic is allowed: atomics are outside
-   the analysis's lock model by design — lock-free code (the SPSC
-   ingest ring) documents its ordering contract in place and is
-   exercised under TSan instead.
+   the analysis's lock model by design — lock-free code documents its
+   ordering contract in place and is exercised under TSan instead.
 
 Exit status 0 when clean; 1 with file:line diagnostics otherwise.
 Run from anywhere: paths resolve relative to the repo root (parent of
