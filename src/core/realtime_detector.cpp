@@ -24,20 +24,25 @@ int window_label(Seconds window_start, Seconds window_seconds,
 
 }  // namespace
 
-ml::Dataset build_window_dataset(const signal::EegRecord& record,
-                                 const std::vector<signal::Interval>& seizures,
-                                 const RealtimeConfig& config) {
-  const features::EglassFeatureExtractor extractor(2);
-  const features::WindowedFeatures windowed = features::extract_windowed_features(
-      record, extractor, config.window_seconds, config.overlap);
-
+ml::Dataset build_window_dataset(const features::WindowedFeatures& windowed,
+                                 const std::vector<signal::Interval>& seizures) {
   ml::Dataset data;
   for (std::size_t w = 0; w < windowed.count(); ++w) {
     data.push_back(windowed.features.row(w),
                    window_label(windowed.window_start_s[w],
-                                config.window_seconds, seizures));
+                                windowed.window_seconds, seizures));
   }
   return data;
+}
+
+ml::Dataset build_window_dataset(const signal::EegRecord& record,
+                                 const std::vector<signal::Interval>& seizures,
+                                 const RealtimeConfig& config) {
+  const features::EglassFeatureExtractor extractor(2);
+  return build_window_dataset(
+      features::extract_windowed_features(record, extractor,
+                                          config.window_seconds, config.overlap),
+      seizures);
 }
 
 RealtimeDetector::RealtimeDetector(RealtimeConfig config)

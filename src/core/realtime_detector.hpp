@@ -30,9 +30,16 @@ struct RealtimeConfig {
   Real overlap = 0.75;
 };
 
-/// Builds a labeled window dataset from a record: one e-Glass feature row
-/// per window, label 1 when the window overlaps a `seizure` interval by at
-/// least k_window_label_overlap of its length.
+/// Labels already-extracted windows: one dataset row per window of
+/// `windowed`, label 1 when the window overlaps a `seizure` interval by at
+/// least k_window_label_overlap of windowed.window_seconds. Interval and
+/// window start times must share one time origin.
+ml::Dataset build_window_dataset(const features::WindowedFeatures& windowed,
+                                 const std::vector<signal::Interval>& seizures);
+
+/// Builds a labeled window dataset from a record: extracts one e-Glass
+/// feature row per window of `config`'s geometry, then labels them as
+/// above.
 ml::Dataset build_window_dataset(const signal::EegRecord& record,
                                  const std::vector<signal::Interval>& seizures,
                                  const RealtimeConfig& config = {});

@@ -14,21 +14,34 @@ SelfLearningPipeline::SelfLearningPipeline(SelfLearningConfig config)
 }
 
 signal::Interval SelfLearningPipeline::on_patient_trigger(
-    const signal::EegRecord& record) {
-  // Label the last hour of signal with Algorithm 1 over the 10-feature set.
-  const features::PaperFeatureExtractor paper_extractor;
-  const features::WindowedFeatures windowed =
-      features::extract_windowed_features(record, paper_extractor);
+    const features::WindowedFeatures& paper_windows,
+    const features::WindowedFeatures& eglass_windows) {
+  expects(eglass_windows.window_seconds == config_.realtime.window_seconds,
+          "SelfLearningPipeline::on_patient_trigger: e-Glass windows do not "
+          "match the detector's window length");
   const signal::Interval label =
-      labeler_.label(windowed, config_.average_seizure_duration_s);
+      labeler_.label(paper_windows, config_.average_seizure_duration_s);
 
-  // The labeled record provides both positive and negative windows.
-  buffer_.append(build_window_dataset(record, {label}, config_.realtime));
+  // The labeled windows provide both positive and negative rows.
+  buffer_.append(build_window_dataset(eglass_windows, {label}));
   ++labeled_seizures_;
   if (config_.retrain_on_label) {
     retrain();
   }
   return label;
+}
+
+signal::Interval SelfLearningPipeline::on_patient_trigger(
+    const signal::EegRecord& record) {
+  const features::PaperFeatureExtractor paper;
+  const features::EglassFeatureExtractor eglass(2);
+  return on_patient_trigger(
+      features::extract_windowed_features(record, paper,
+                                          k_labeling_window_seconds,
+                                          k_labeling_overlap),
+      features::extract_windowed_features(record, eglass,
+                                          config_.realtime.window_seconds,
+                                          config_.realtime.overlap));
 }
 
 void SelfLearningPipeline::add_background_record(

@@ -17,6 +17,11 @@
 
 namespace esl::core {
 
+/// Window geometry of Algorithm 1's 10-feature windows (§III-A: 4 s
+/// windows, 75 % overlap).
+inline constexpr Seconds k_labeling_window_seconds = 4.0;
+inline constexpr Real k_labeling_overlap = 0.75;
+
 /// Pipeline configuration.
 struct SelfLearningConfig {
   APosterioriConfig labeling;
@@ -40,9 +45,18 @@ class SelfLearningPipeline {
  public:
   explicit SelfLearningPipeline(SelfLearningConfig config = {});
 
-  /// Patient button press after a missed seizure: runs Algorithm 1 on the
-  /// record (the "last hour of signal"), stores the labeled windows in the
-  /// training buffer and (optionally) retrains. Returns the label.
+  /// Patient button press after a missed seizure, from windows already
+  /// extracted over the "last hour of signal": runs Algorithm 1 on
+  /// `paper_windows` (the 10 paper features, k_labeling_* geometry),
+  /// stores `eglass_windows` (the detector's e-Glass rows, config().realtime
+  /// geometry) labeled against the result in the training buffer and
+  /// (optionally) retrains. Both share one time origin. Returns the label.
+  signal::Interval on_patient_trigger(
+      const features::WindowedFeatures& paper_windows,
+      const features::WindowedFeatures& eglass_windows);
+
+  /// The same from a record: extracts both window sets from it, then
+  /// labels and learns as above.
   signal::Interval on_patient_trigger(const signal::EegRecord& record);
 
   /// Adds seizure-free data to the training buffer (negatives).

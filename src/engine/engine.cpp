@@ -222,6 +222,13 @@ void Engine::attach_self_learning(std::uint64_t id,
   expects(s.session->history_enabled(),
           "Engine::attach_self_learning: session needs history_seconds > 0 "
           "for a-posteriori labeling");
+  // The personal model trains on the session's streamed rows and then
+  // classifies its later ones: both must be windows of one geometry.
+  const SessionConfig& session = s.session->config();
+  expects(config.realtime.window_seconds == session.window_seconds &&
+              config.realtime.overlap == session.overlap,
+          "Engine::attach_self_learning: the pipeline's window geometry "
+          "differs from the session's");
   s.pipeline = std::make_unique<core::SelfLearningPipeline>(config);
 }
 
@@ -233,10 +240,17 @@ signal::Interval Engine::patient_trigger(std::uint64_t id) {
   Slot& s = live_slot(id);
   expects(s.pipeline != nullptr,
           "Engine::patient_trigger: no self-learning pipeline attached");
-  // Times in the returned label are relative to the start of the history
-  // buffer (its oldest retained sample), not the whole stream.
-  const signal::EegRecord record = s.session->history_record();
-  const signal::Interval label = s.pipeline->on_patient_trigger(record);
+  // Algorithm 1's windows are computed straight from the history ring in
+  // the engine's workspace; the training rows are the ones the session
+  // already streamed (its row ring), so nothing is copied into a record
+  // and no e-Glass window is extracted twice. Times in the returned label
+  // are relative to the start of the history (its oldest retained
+  // sample), not the whole stream.
+  const features::PaperFeatureExtractor paper;
+  const signal::Interval label = s.pipeline->on_patient_trigger(
+      s.session->history_features(paper, core::k_labeling_window_seconds,
+                                  core::k_labeling_overlap, workspace_),
+      s.session->history_windows());
   // A retrain supersedes any pinned artifact: drop the override so the
   // fresh personal model takes over (re-compile + swap_model to pin a
   // flat artifact of the new fit).

@@ -127,17 +127,29 @@ class Engine {
 
   /// Attaches a personal self-learning pipeline to a session (enables
   /// patient_trigger). The session keeps using the fleet model until the
-  /// pipeline trains a personal one.
+  /// pipeline trains a personal one. Throws InvalidArgument unless the
+  /// session keeps a history and config.realtime's window_seconds and
+  /// overlap equal the session's: the personal model trains on the
+  /// session's streamed rows and serves its later ones.
   void attach_self_learning(std::uint64_t id,
                             const core::SelfLearningConfig& config);
   bool has_self_learning(std::uint64_t id) const;
 
-  /// Patient button press after a missed seizure: reconstructs the
-  /// session's history record, labels it with Algorithm 1 via the attached
-  /// pipeline (which retrains), switches the session to the personalized
-  /// detector once fitted, fires the label hook, and returns the label.
-  /// Clears any swap_model override so the freshly retrained model is
-  /// never masked by a stale pinned artifact.
+  /// Patient button press after a missed seizure: labels the session's
+  /// history with Algorithm 1 via the attached pipeline (which retrains),
+  /// switches the session to the personalized detector once fitted, fires
+  /// the label hook, and returns the label (in seconds from the history
+  /// start). Works from the session's own state, copying no record:
+  /// Algorithm 1's 10-feature windows are computed straight from the
+  /// sample history (PatientSession::history_features), and the training
+  /// rows are the e-Glass rows the session streamed for the windows
+  /// inside the history (PatientSession::history_windows, one 864 B row
+  /// per hop kept beside the samples). The result equals the offline
+  /// SelfLearningPipeline::on_patient_trigger(history_record()) bit for
+  /// bit while the history starts on a hop boundary; when it starts
+  /// mid-hop the rows are still the streamed windows, with starts offset
+  /// from the history start. Clears any swap_model override so the
+  /// freshly retrained model is never masked by a stale pinned artifact.
   signal::Interval patient_trigger(std::uint64_t id);
 
   /// Deploys `model` for session `id`: every window classified by a poll

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "signal/montage.hpp"
+#include "signal/sliding_window.hpp"
 
 namespace esl::engine {
 
@@ -68,6 +69,9 @@ PatientSession::PatientSession(
     for (std::size_t c = 0; c < extractor.required_channels(); ++c) {
       history_.emplace_back(capacity);
     }
+    row_capacity_ =
+        (capacity - streaming_.window_length()) / streaming_.hop() + 1;
+    rows_.reserve_rows(row_capacity_, streaming_.feature_count());
   }
   pending_.reserve_rows(16, streaming_.feature_count());
   pending_indices_.reserve(16);
@@ -96,6 +100,16 @@ void PatientSession::on_window(std::size_t index, Seconds /*start_s*/,
                                std::span<const Real> row) {
   pending_.append_row(row);
   pending_indices_.push_back(index);
+  if (row_capacity_ != 0) {
+    // Windows arrive in order from 0, so until the ring is full `index`
+    // is the next row.
+    if (rows_.rows() < row_capacity_) {
+      rows_.append_row(row);
+    } else {
+      std::copy(row.begin(), row.end(),
+                rows_.row(index % row_capacity_).begin());
+    }
+  }
 }
 
 void PatientSession::clear_pending() {
@@ -150,6 +164,76 @@ signal::EegRecord PatientSession::history_record(
     record.add_channel(std::move(electrodes), std::move(samples));
   }
   return record;
+}
+
+features::WindowedFeatures PatientSession::history_features(
+    const features::WindowFeatureExtractor& extractor, Seconds window_seconds,
+    Real overlap, dsp::Workspace& workspace) const {
+  expects(history_enabled(),
+          "PatientSession::history_features: history disabled");
+  const std::size_t channels = extractor.required_channels();
+  expects(channels <= history_.size(),
+          "PatientSession::history_features: too few history channels");
+  const Real rate = config_.sample_rate_hz;
+  const auto plan = signal::SlidingWindows::paper_plan(
+      history_.front().size(), rate, window_seconds, overlap);
+
+  const std::size_t feature_count = extractor.feature_count();
+  features::WindowedFeatures out;
+  out.window_seconds = window_seconds;
+  out.hop_seconds = static_cast<Seconds>(plan.hop()) / rate;
+  out.features = Matrix(plan.count(), feature_count);
+  out.window_start_s.resize(plan.count());
+
+  std::vector<RealVector>& windows = workspace.windows;
+  std::vector<std::span<const Real>>& views = workspace.window_views;
+  windows.resize(channels);
+  views.resize(channels);
+  RealVector row;
+  for (std::size_t w = 0; w < plan.count(); ++w) {
+    for (std::size_t c = 0; c < channels; ++c) {
+      windows[c].resize(plan.window_length());
+      history_[c].copy_range(plan.start(w), plan.window_length(), windows[c]);
+      views[c] = windows[c];
+    }
+    extractor.extract_into(views, rate, row, workspace);
+    ensures(row.size() == feature_count,
+            "PatientSession::history_features: wrong row width");
+    std::copy(row.begin(), row.end(), out.features.row(w).begin());
+    out.window_start_s[w] = static_cast<Seconds>(plan.start(w)) / rate;
+  }
+  return out;
+}
+
+features::WindowedFeatures PatientSession::history_windows() const {
+  expects(history_enabled(),
+          "PatientSession::history_windows: history disabled");
+  // The history holds stream samples [dropped, dropped + size); streamed
+  // window w covers [w * hop, w * hop + window_length). Every emitted
+  // window ends inside the stream, so the ones inside the history are
+  // those starting at or after `dropped`: at most row_capacity_ of them,
+  // all still in the row ring.
+  const std::size_t hop = streaming_.hop();
+  const std::size_t dropped = history_.front().dropped();
+  const std::size_t first = (dropped + hop - 1) / hop;
+  const std::size_t end = streaming_.emitted();
+  const std::size_t count = end > first ? end - first : 0;
+  ensures(count <= row_capacity_,
+          "PatientSession::history_windows: row ring overrun");
+
+  const Real rate = config_.sample_rate_hz;
+  features::WindowedFeatures out;
+  out.window_seconds = config_.window_seconds;
+  out.hop_seconds = static_cast<Seconds>(hop) / rate;
+  out.features = Matrix(count, streaming_.feature_count());
+  out.window_start_s.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t w = first + k;
+    const std::span<const Real> row = rows_.row(w % row_capacity_);
+    std::copy(row.begin(), row.end(), out.features.row(k).begin());
+    out.window_start_s[k] = static_cast<Seconds>(w * hop - dropped) / rate;
+  }
+  return out;
 }
 
 }  // namespace esl::engine

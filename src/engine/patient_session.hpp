@@ -13,8 +13,8 @@
 // its own. The Engine is driven by one thread at a time, so the shared
 // workspace is never used concurrently. It also owns the per-patient
 // post-processing state (consecutive-positive alarm runs) and, optionally,
-// a retrospective raw-signal history ring so a patient button press can
-// reconstruct the "last hour of signal" for a-posteriori labeling.
+// a retrospective history so a patient button press can label and learn
+// from the "last hour of signal" (see "Retrospective history" below).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 
 #include "common/matrix.hpp"
 #include "dsp/workspace.hpp"
+#include "features/extractor.hpp"
 #include "features/streaming.hpp"
 #include "signal/eeg_record.hpp"
 #include "signal/sample_ring.hpp"
@@ -37,8 +38,9 @@ struct SessionConfig {
   /// Consecutive positive windows required to raise an alarm (§III-C
   /// post-processing; RealtimeDetector::raises_alarm uses the same rule).
   std::size_t alarm_consecutive = 3;
-  /// Length of the retrospective raw-signal buffer used for a-posteriori
-  /// labeling on patient trigger ("the last hour"). 0 disables it.
+  /// Length of the retrospective history used for a-posteriori labeling
+  /// on patient trigger ("the last hour"). 0 disables it, and the session
+  /// then allocates neither the sample history nor the row ring.
   Seconds history_seconds = 0.0;
   /// Model policy, read by the Engine: when false the session never uses
   /// the shared fleet detector and stays cold until its own self-learning
@@ -97,6 +99,19 @@ class PatientSession final : private features::WindowSink {
   /// Alarms raised so far.
   std::size_t alarms() const { return alarms_; }
 
+  // ------------------------------------------------ retrospective history
+  // A history-enabled session keeps two rings, both allocated at open and
+  // overwritten in place once full:
+  //  * the raw samples of the last history_seconds, per channel; and
+  //  * the row ring: the e-Glass rows of the last
+  //    floor((history - window) / hop) + 1 streamed windows, i.e. every
+  //    streamed window that can lie wholly inside the sample history.
+  // The row ring costs one feature row per hop: 108 doubles (864 B) at the
+  // e-Glass width, about +21 % over the sample history at 2 channels x
+  // 256 Hz with a 1 s hop (4 KiB of samples per hop). Its storage is
+  // reserved, not touched, at open, so both rings take pages only as the
+  // stream fills them.
+
   bool history_enabled() const { return !history_.empty(); }
   /// Seconds of signal currently held in the history ring.
   Seconds history_buffered_s() const;
@@ -104,6 +119,29 @@ class PatientSession final : private features::WindowSink {
   /// montage labels) for a-posteriori labeling. Requires history_enabled()
   /// and at least one buffered window's worth of signal.
   signal::EegRecord history_record(const std::string& record_id = "") const;
+
+  /// Runs `extractor` over the sample history with the window plan of
+  /// (window_seconds, overlap), reading each window straight from the
+  /// history ring into `workspace.windows`: bit-identical to
+  /// extract_windowed_features(history_record(), extractor,
+  /// window_seconds, overlap) without materializing the record. Requires
+  /// history_enabled() and at least one such window buffered.
+  features::WindowedFeatures history_features(
+      const features::WindowFeatureExtractor& extractor,
+      Seconds window_seconds, Real overlap, dsp::Workspace& workspace) const;
+
+  /// The e-Glass rows this session streamed for the windows lying wholly
+  /// inside the sample history, oldest first, from the row ring (nothing
+  /// is re-extracted). Start times are relative to the history start,
+  /// like history_record()'s. While the dropped samples are a whole
+  /// number of hops (always, with chunks of whole hops), these are
+  /// exactly the windows of extract_windowed_features(history_record(),
+  /// ...) and, by the streaming = offline parity, the same rows. When the
+  /// history starts mid-hop they are still the streamed windows: the
+  /// first starts at the first hop boundary inside the history, so the
+  /// starts are offset from multiples of the hop. Requires
+  /// history_enabled().
+  features::WindowedFeatures history_windows() const;
 
  private:
   void on_window(std::size_t index, Seconds start_s,
@@ -115,6 +153,11 @@ class PatientSession final : private features::WindowSink {
   Matrix pending_;
   std::vector<std::size_t> pending_indices_;
   std::vector<signal::SampleRing> history_;  // empty when disabled
+  // Row ring: streamed window w lives in row w % row_capacity_. Appended
+  // until full, then overwritten in place; row_capacity_ == 0 (and no
+  // storage) when the history is disabled.
+  Matrix rows_;
+  std::size_t row_capacity_ = 0;
   std::size_t alarm_run_ = 0;
   std::size_t alarms_ = 0;
 };

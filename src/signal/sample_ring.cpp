@@ -6,19 +6,21 @@
 
 namespace esl::signal {
 
-SampleRing::SampleRing(std::size_t capacity) : data_(capacity) {
+SampleRing::SampleRing(std::size_t capacity)
+    : data_(std::make_unique_for_overwrite<Real[]>(capacity)),
+      capacity_(capacity) {
   expects(capacity >= 1, "SampleRing: capacity must be positive");
 }
 
 void SampleRing::push(std::span<const Real> samples) {
-  const std::size_t cap = data_.size();
+  const std::size_t cap = capacity_;
   // A block longer than the ring reduces to its trailing `cap` samples.
   if (samples.size() > cap) {
     dropped_ += size_ + samples.size() - cap;
     head_ = 0;
     size_ = cap;
     std::copy(samples.end() - static_cast<std::ptrdiff_t>(cap), samples.end(),
-              data_.begin());
+              data_.get());
     return;
   }
   std::size_t tail = (head_ + size_) % cap;
@@ -34,20 +36,21 @@ void SampleRing::push(std::span<const Real> samples) {
   }
 }
 
-void SampleRing::copy_front(std::size_t count, std::span<Real> out) const {
-  expects(count <= size_, "SampleRing::copy_front: not enough samples");
-  expects(out.size() >= count, "SampleRing::copy_front: output too small");
-  const std::size_t cap = data_.size();
-  const std::size_t first = std::min(count, cap - head_);
-  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(head_), first,
-              out.begin());
-  std::copy_n(data_.begin(), count - first,
+void SampleRing::copy_range(std::size_t offset, std::size_t count,
+                            std::span<Real> out) const {
+  expects(offset <= size_ && count <= size_ - offset,
+          "SampleRing::copy_range: not enough samples");
+  expects(out.size() >= count, "SampleRing::copy_range: output too small");
+  const std::size_t start = (head_ + offset) % capacity_;
+  const std::size_t first = std::min(count, capacity_ - start);
+  std::copy_n(data_.get() + start, first, out.begin());
+  std::copy_n(data_.get(), count - first,
               out.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
 void SampleRing::drop_front(std::size_t count) {
   expects(count <= size_, "SampleRing::drop_front: not enough samples");
-  head_ = (head_ + count) % data_.size();
+  head_ = (head_ + count) % capacity_;
   size_ -= count;
 }
 

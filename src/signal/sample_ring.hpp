@@ -6,8 +6,13 @@
 // (the "last hour of signal", overwriting oldest samples). Both are this
 // ring: push appends and overwrites the oldest samples on overflow; reads
 // copy into caller-provided storage so the hot path never allocates.
+//
+// The storage is allocated default-initialised: no read ever passes
+// size(), so nothing needs zeroing, and an hour-long history ring costs
+// its pages only as the stream fills them, not at construction.
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "common/types.hpp"
@@ -20,20 +25,28 @@ class SampleRing {
   /// Capacity in samples (>= 1).
   explicit SampleRing(std::size_t capacity);
 
-  std::size_t capacity() const { return data_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return size_; }
-  bool full() const { return size_ == data_.size(); }
+  bool full() const { return size_ == capacity_; }
 
   /// Appends samples; when the ring is full the oldest samples are
   /// overwritten (counted in dropped()).
   void push(std::span<const Real> samples);
 
+  /// Copies `count` samples starting `offset` samples after the oldest
+  /// one (in arrival order) into `out`. Requires offset + count <= size()
+  /// and out.size() >= count.
+  void copy_range(std::size_t offset, std::size_t count,
+                  std::span<Real> out) const;
+
   /// Copies the oldest `count` samples (in arrival order) into `out`.
   /// `count` must be <= size() and out.size() >= count.
-  void copy_front(std::size_t count, std::span<Real> out) const;
+  void copy_front(std::size_t count, std::span<Real> out) const {
+    copy_range(0, count, out);
+  }
 
   /// Copies the whole content (oldest to newest) into `out`.
-  void copy_all(std::span<Real> out) const { copy_front(size_, out); }
+  void copy_all(std::span<Real> out) const { copy_range(0, size_, out); }
 
   /// Discards the oldest `count` samples (count <= size()).
   void drop_front(std::size_t count);
@@ -44,7 +57,8 @@ class SampleRing {
   void clear();
 
  private:
-  RealVector data_;
+  std::unique_ptr<Real[]> data_;
+  std::size_t capacity_;
   std::size_t head_ = 0;  // index of the oldest sample
   std::size_t size_ = 0;
   std::size_t dropped_ = 0;

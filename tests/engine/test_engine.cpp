@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -24,13 +25,15 @@ std::vector<std::span<const Real>> chunk_views(const signal::EegRecord& record,
   return views;
 }
 
-/// Streams `record` into engine session `id` in `chunk`-sized pieces,
-/// polling after every chunk; returns all detections for that session.
-std::vector<Detection> stream_and_poll(Engine& engine, std::uint64_t id,
-                                       const signal::EegRecord& record,
-                                       std::size_t chunk) {
+/// Streams `record` (its first `length` samples when given) into engine
+/// session `id` in `chunk`-sized pieces, polling after every chunk;
+/// returns all detections for that session.
+std::vector<Detection> stream_and_poll(
+    Engine& engine, std::uint64_t id, const signal::EegRecord& record,
+    std::size_t chunk,
+    std::size_t length = std::numeric_limits<std::size_t>::max()) {
   std::vector<Detection> mine;
-  const std::size_t length = record.length_samples();
+  length = std::min(length, record.length_samples());
   for (std::size_t offset = 0; offset < length; offset += chunk) {
     const std::size_t n = std::min(chunk, length - offset);
     engine.ingest(id, chunk_views(record, offset, n));
@@ -436,6 +439,164 @@ TEST_F(EngineTest, RejectsUnknownSessionAndMissingPipeline) {
   no_history.history_seconds = 0.0;
   const std::uint64_t bare = engine.add_session(no_history);
   EXPECT_THROW(engine.attach_self_learning(bare, {}), InvalidArgument);
+}
+
+TEST_F(EngineTest, AttachRejectsAPipelineOfAnotherWindowGeometry) {
+  // The personal model trains on the session's rows and then serves its
+  // later ones, so a pipeline built for other windows is refused.
+  Engine engine(*fleet_);
+  SessionConfig config;
+  config.history_seconds = 600.0;
+  const std::uint64_t id = engine.add_session(config);
+  core::SelfLearningConfig learn;
+  learn.realtime.window_seconds = 2.0;
+  EXPECT_THROW(engine.attach_self_learning(id, learn), InvalidArgument);
+  learn = core::SelfLearningConfig{};
+  learn.realtime.overlap = 0.5;
+  EXPECT_THROW(engine.attach_self_learning(id, learn), InvalidArgument);
+  EXPECT_FALSE(engine.has_self_learning(id));
+
+  config.window_seconds = 2.0;
+  config.overlap = 0.5;
+  const std::uint64_t two_s = engine.add_session(config);
+  learn.realtime.window_seconds = 2.0;
+  engine.attach_self_learning(two_s, learn);
+  EXPECT_TRUE(engine.has_self_learning(two_s));
+}
+
+/// The trigger's label and personal model must equal those of `reference`
+/// bit for bit: the same interval, and the same class probabilities and
+/// labels on a held-out record.
+void expect_same_outcome(const Engine& engine, std::uint64_t id,
+                         const signal::Interval& label,
+                         const signal::Interval& reference_label,
+                         const core::SelfLearningPipeline& reference,
+                         const signal::EegRecord& held_out) {
+  EXPECT_EQ(label.onset, reference_label.onset);
+  EXPECT_EQ(label.offset, reference_label.offset);
+  const std::shared_ptr<const ml::InferenceModel> model =
+      engine.session_model(id);
+  ASSERT_NE(model, nullptr);
+  ASSERT_TRUE(reference.detector_ready());
+  Matrix rows = features::extract_windowed_features(
+                    held_out, features::EglassFeatureExtractor(2))
+                    .features;
+  Matrix reference_rows = rows;
+  RealVector proba;
+  RealVector reference_proba;
+  std::vector<int> labels;
+  std::vector<int> reference_labels;
+  model->predict_into(rows, proba, labels);
+  reference.detector().model()->predict_into(reference_rows, reference_proba,
+                                             reference_labels);
+  EXPECT_EQ(proba, reference_proba);
+  EXPECT_EQ(labels, reference_labels);
+}
+
+/// A cold session (no fleet model) keeping `history_s` of history, with
+/// a self-learning pipeline configured as `learn` attached.
+std::uint64_t add_learning_session(Engine& engine, Seconds history_s,
+                                   const core::SelfLearningConfig& learn) {
+  SessionConfig config;
+  config.history_seconds = history_s;
+  config.use_fleet_model = false;
+  const std::uint64_t id = engine.add_session(config);
+  engine.attach_self_learning(id, learn);
+  return id;
+}
+
+TEST_F(EngineTest, PatientTriggerMatchesOfflinePipelineWhileHistoryCoversStream) {
+  Engine engine(std::make_shared<core::RealtimeDetector>());
+  core::SelfLearningConfig learn;
+  learn.average_seizure_duration_s = simulator_->average_seizure_duration(4);
+  const std::uint64_t id = add_learning_session(engine, 600.0, learn);
+
+  stream_and_poll(engine, id, *seizure_record_, 997);
+  const PatientSession& session = engine.session(id);
+  ASSERT_EQ(session.history_buffered_s() * session.config().sample_rate_hz,
+            static_cast<Real>(seizure_record_->length_samples()));
+
+  core::SelfLearningPipeline reference(learn);
+  const signal::Interval reference_label =
+      reference.on_patient_trigger(session.history_record());
+  const signal::Interval label = engine.patient_trigger(id);
+  expect_same_outcome(engine, id, label, reference_label, reference,
+                      *train_record_);
+}
+
+TEST_F(EngineTest, PatientTriggerMatchesOfflinePipelineAfterAWholeHopWrap) {
+  // 1 s chunks through a 300 s history: the dropped samples are whole
+  // hops, so the streamed windows inside the history are exactly the
+  // offline windows of history_record().
+  Engine engine(std::make_shared<core::RealtimeDetector>());
+  core::SelfLearningConfig learn;
+  learn.average_seizure_duration_s = simulator_->average_seizure_duration(4);
+  const std::uint64_t id = add_learning_session(engine, 300.0, learn);
+
+  const std::size_t hop = 256;
+  const std::size_t length = seizure_record_->length_samples() / hop * hop;
+  stream_and_poll(engine, id, *seizure_record_, hop, length);
+  const PatientSession& session = engine.session(id);
+  ASSERT_EQ(session.history_buffered_s(), 300.0);
+  ASSERT_GT(length, 300u * hop);  // wrapped
+
+  core::SelfLearningPipeline reference(learn);
+  const signal::Interval reference_label =
+      reference.on_patient_trigger(session.history_record());
+  const signal::Interval label = engine.patient_trigger(id);
+  expect_same_outcome(engine, id, label, reference_label, reference,
+                      *train_record_);
+}
+
+TEST_F(EngineTest, PatientTriggerTrainsOnTheStreamedRowsWhenHistoryStartsMidHop) {
+  // 0.25 s chunks, stopped a quarter second short of a whole second, past
+  // a wrap of the 300 s history: the history starts 3/4 into a hop. The
+  // documented semantics: the training rows are exactly the streamed
+  // rows of the windows inside the history, starting at the first hop
+  // boundary in it, with starts relative to the history start.
+  Engine engine(std::make_shared<core::RealtimeDetector>());
+  core::SelfLearningConfig learn;
+  learn.average_seizure_duration_s = simulator_->average_seizure_duration(4);
+  const std::uint64_t id = add_learning_session(engine, 300.0, learn);
+
+  const std::size_t hop = 256;
+  const std::size_t window = 1024;
+  const std::size_t length = seizure_record_->length_samples() / hop * hop - 64;
+  stream_and_poll(engine, id, *seizure_record_, 64, length);
+  const PatientSession& session = engine.session(id);
+  const std::size_t dropped = length - 300 * hop;
+  ASSERT_EQ(dropped % hop, 192u);
+
+  // The streamed rows, by the streaming = offline parity contract.
+  const features::WindowedFeatures streamed =
+      features::extract_windowed_features(
+          *seizure_record_, features::EglassFeatureExtractor(2));
+  const std::size_t first = (dropped + hop - 1) / hop;
+  const std::size_t emitted = (length - window) / hop + 1;
+  ASSERT_EQ(session.windows_emitted(), emitted);
+  features::WindowedFeatures expected;
+  std::vector<std::size_t> inside;
+  for (std::size_t w = first; w < emitted; ++w) {
+    inside.push_back(w);
+    expected.window_start_s.push_back(
+        static_cast<Seconds>(w * hop - dropped) /
+        session.config().sample_rate_hz);
+  }
+  expected.features = streamed.features.select_rows(inside);
+  ASSERT_EQ(expected.window_start_s.front(), 0.25);
+
+  const features::WindowedFeatures rows = session.history_windows();
+  EXPECT_EQ(rows.features, expected.features);
+  EXPECT_EQ(rows.window_start_s, expected.window_start_s);
+
+  core::SelfLearningPipeline reference(learn);
+  const signal::Interval reference_label = reference.on_patient_trigger(
+      features::extract_windowed_features(session.history_record(),
+                                          features::PaperFeatureExtractor()),
+      expected);
+  const signal::Interval label = engine.patient_trigger(id);
+  expect_same_outcome(engine, id, label, reference_label, reference,
+                      *train_record_);
 }
 
 TEST_F(EngineTest, SessionsOfTwoGeometriesShareOneWorkspaceBitForBit) {

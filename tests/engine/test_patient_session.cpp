@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "features/eglass_features.hpp"
 #include "features/extractor.hpp"
+#include "features/paper_features.hpp"
 #include "sim/cohort.hpp"
 
 namespace esl::engine {
@@ -36,9 +37,14 @@ class PatientSessionTest : public ::testing::Test {
   /// Streams the whole record in `chunk` sized pieces.
   void stream(PatientSession& session, const signal::EegRecord& record,
               std::size_t chunk) {
-    const std::size_t length = record.length_samples();
-    for (std::size_t offset = 0; offset < length; offset += chunk) {
-      const std::size_t n = std::min(chunk, length - offset);
+    stream_range(session, record, 0, record.length_samples(), chunk);
+  }
+
+  /// Streams samples [begin, end) of the record in `chunk` sized pieces.
+  void stream_range(PatientSession& session, const signal::EegRecord& record,
+                    std::size_t begin, std::size_t end, std::size_t chunk) {
+    for (std::size_t offset = begin; offset < end; offset += chunk) {
+      const std::size_t n = std::min(chunk, end - offset);
       session.ingest(chunk_views(record, offset, n), workspace_);
     }
   }
@@ -175,6 +181,81 @@ TEST_F(PatientSessionTest, HistoryRingWrapsAroundOnLongStreams) {
           << "channel " << c << " sample " << i;
     }
   }
+}
+
+void expect_same_windows(const features::WindowedFeatures& actual,
+                         const features::WindowedFeatures& expected) {
+  EXPECT_EQ(actual.features, expected.features);
+  EXPECT_EQ(actual.window_start_s, expected.window_start_s);
+  EXPECT_EQ(actual.window_seconds, expected.window_seconds);
+  EXPECT_EQ(actual.hop_seconds, expected.hop_seconds);
+}
+
+TEST_F(PatientSessionTest, HistoryFeaturesMatchOfflineExtractionOfHistory) {
+  // Algorithm 1's windows read straight from the history ring must be
+  // the offline extraction of the materialized history, bit for bit,
+  // whether or not the ring has wrapped and wherever the wrap falls.
+  const features::EglassFeatureExtractor eglass(2);
+  const features::PaperFeatureExtractor paper;
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 20.0;  // 5120 samples
+  PatientSession session(10, eglass, config);
+  const auto expect_offline_parity = [&] {
+    expect_same_windows(
+        session.history_features(paper, 4.0, 0.75, workspace_),
+        features::extract_windowed_features(session.history_record(), paper));
+  };
+
+  // 15 s: the ring has not wrapped.
+  stream_range(session, *record_, 0, 3840, 777);
+  ASSERT_LT(session.history_buffered_s(), config.history_seconds);
+  expect_offline_parity();
+
+  // 25.5 s: the ring's oldest sample sits at slot 1408, so its physical
+  // end falls at history offset 3712, inside window 11 ([2816, 3840)).
+  stream_range(session, *record_, 3840, 6528, 777);
+  ASSERT_DOUBLE_EQ(session.history_buffered_s(), config.history_seconds);
+  expect_offline_parity();
+
+  // The rest of the record: wrapped several times.
+  stream_range(session, *record_, 6528, record_->length_samples(), 777);
+  expect_offline_parity();
+}
+
+TEST_F(PatientSessionTest, HistoryWindowsAreTheStreamedRowsOfTheHistory) {
+  // With whole-hop chunks the history starts on a hop boundary, so the
+  // row ring's windows are exactly the offline windows of the history
+  // record, with the same rows, also after the row ring has wrapped.
+  const features::EglassFeatureExtractor eglass(2);
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 20.0;  // 17 rows
+  PatientSession session(11, eglass, config);
+  ASSERT_EQ(record_->length_samples() % 256, 0u);  // whole hops per pass
+
+  // 12 s: history and row ring both partly filled.
+  stream_range(session, *record_, 0, 3072, 256);
+  expect_same_windows(
+      session.history_windows(),
+      features::extract_windowed_features(session.history_record(), eglass));
+
+  for (int pass = 0; pass < 3; ++pass) {
+    stream_range(session, *record_, 0, record_->length_samples(), 256);
+  }
+  ASSERT_GT(session.windows_emitted(), 3u * 17u);
+  expect_same_windows(
+      session.history_windows(),
+      features::extract_windowed_features(session.history_record(), eglass));
+}
+
+TEST_F(PatientSessionTest, HistoryWindowsRequireTheHistory) {
+  const features::EglassFeatureExtractor eglass(2);
+  const features::PaperFeatureExtractor paper;
+  PatientSession session(12, eglass, SessionConfig{});
+  EXPECT_THROW(session.history_windows(), InvalidArgument);
+  EXPECT_THROW(session.history_features(paper, 4.0, 0.75, workspace_),
+               InvalidArgument);
 }
 
 TEST_F(PatientSessionTest, HistoryRecordAtExactlyOneWindowBoundary) {

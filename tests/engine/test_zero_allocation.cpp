@@ -1,7 +1,7 @@
 // Steady-state allocation regression for the engine ingest path.
 //
-// A warm PatientSession ingest cycle — ring buffering, history ring,
-// incremental windowing, the full 108-wide e-Glass feature row,
+// A warm PatientSession ingest cycle — ring buffering, history ring and
+// its row ring, incremental windowing, the full 108-wide e-Glass feature row,
 // pending-matrix append and clear — must perform zero heap allocations.
 // The DSP scratch belongs to the Engine, not the session, so a session
 // opened on a warm Engine streams allocation-free from its first chunk.
@@ -88,6 +88,34 @@ TEST(ZeroAllocation, SessionOpenedOnAWarmEngineStreamsWithoutAllocating) {
   EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
   EXPECT_EQ(completed, 5u);  // first window at 4 s, then one per 1 s chunk
   EXPECT_EQ(engine.session(fresh).pending().rows(), 5u);
+}
+
+TEST(ZeroAllocation, HistoryRowRingFillsAndWrapsWithoutAllocating) {
+  // The row ring beside the sample history is reserved at open: filling
+  // it and then overwriting it in place must not allocate.
+  Engine engine(nullptr);
+  const RealVector a = noise(256, 41);
+  const RealVector b = noise(256, 42);
+  const std::vector<std::span<const Real>> chunk = {a, b};
+  const std::uint64_t warm = engine.add_session();
+  for (int i = 0; i < 8; ++i) {
+    engine.ingest(warm, chunk);
+    engine.session(warm).clear_pending();
+  }
+
+  SessionConfig config;
+  config.history_seconds = 8.0;  // (8 s - 4 s) / 1 s + 1 = 5 rows
+  const std::uint64_t id = engine.add_session(config);
+  PatientSession& session = engine.session(id);
+  const std::size_t before = esl::testing::allocation_count();
+  std::size_t completed = 0;
+  for (int i = 0; i < 24; ++i) {
+    completed += engine.ingest(id, chunk);
+    session.clear_pending();
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
+  EXPECT_EQ(completed, 21u);  // the 5-row ring fills, then wraps 3+ times
+  EXPECT_EQ(session.history_windows().count(), 5u);
 }
 
 TEST(ZeroAllocation, AlarmPostProcessingIsAllocationFree) {

@@ -76,6 +76,43 @@ TEST(SampleRing, CopyFrontChecksBounds) {
   EXPECT_THROW(ring.drop_front(3), InvalidArgument);
 }
 
+TEST(SampleRing, CopyRangeReadsAcrossThePhysicalWrap) {
+  SampleRing ring(6);
+  ring.push(iota(4));       // 0 1 2 3
+  ring.push(iota(5, 4.0));  // 4 .. 8: 6 7 8 overwrite slots 0-2, head = 3
+  ASSERT_EQ(ring.dropped(), 3u);
+
+  // Logical 4 5 6 7 sit in physical slots 4 5 0 1.
+  RealVector out(4);
+  ring.copy_range(1, 4, out);
+  EXPECT_EQ(out, (RealVector{4.0, 5.0, 6.0, 7.0}));
+
+  RealVector tail(2);
+  ring.copy_range(4, 2, tail);
+  EXPECT_EQ(tail, (RealVector{7.0, 8.0}));
+}
+
+TEST(SampleRing, CopyRangeAcceptsAnEmptyRangeAtTheEnd) {
+  SampleRing ring(4);
+  ring.push(iota(3));
+  RealVector out;
+  EXPECT_NO_THROW(ring.copy_range(ring.size(), 0, out));
+}
+
+TEST(SampleRing, CopyRangeRejectsRequestsPastTheContent) {
+  SampleRing ring(8);
+  ring.push(iota(5));
+  RealVector out(8);
+  EXPECT_THROW(ring.copy_range(5, 1, out), InvalidArgument);
+  EXPECT_THROW(ring.copy_range(6, 0, out), InvalidArgument);
+  EXPECT_THROW(ring.copy_range(2, 4, out), InvalidArgument);
+  // offset + count would wrap around std::size_t.
+  EXPECT_THROW(ring.copy_range(1, static_cast<std::size_t>(-1), out),
+               InvalidArgument);
+  RealVector small(2);
+  EXPECT_THROW(ring.copy_range(0, 3, small), InvalidArgument);
+}
+
 TEST(SampleRing, ClearResets) {
   SampleRing ring(4);
   ring.push(iota(6));
