@@ -52,20 +52,13 @@ RealtimeDetector::RealtimeDetector(RealtimeConfig config)
       // front, exactly as the by-value member used to.
       forest_(std::make_shared<const ml::RandomForest>(config.forest)) {}
 
-ml::Dataset RealtimeDetector::scale(const ml::Dataset& data) const {
-  expects(scaler_.has_value(), "RealtimeDetector: scaler not fitted");
-  ml::Dataset scaled = data;
-  features::apply_zscore(scaled.x, *scaler_);
-  return scaled;
-}
-
 void RealtimeDetector::fit(const ml::Dataset& train, std::uint64_t seed) {
   train.check();
   expects(train.size() >= 4, "RealtimeDetector::fit: dataset too small");
-  scaler_ = features::fit_column_stats(train.x);
-  row_scaler_ = ml::RowScaler{scaler_->mean, scaler_->stddev};
+  features::ColumnStats stats = features::fit_column_stats(train.x);
+  ml::RowScaler scaler{std::move(stats.mean), std::move(stats.stddev)};
   ml::Dataset scaled = train;
-  features::apply_zscore(scaled.x, *scaler_);
+  scaler.apply(scaled.x);
   // Train a fresh forest and share it into an immutable deployable
   // artifact: the engine holds models only through that seam, so a later
   // re-fit installs a new ensemble instead of mutating the one a shard
@@ -73,6 +66,7 @@ void RealtimeDetector::fit(const ml::Dataset& train, std::uint64_t seed) {
   auto fitted = std::make_shared<ml::RandomForest>(config_.forest);
   fitted->fit(scaled, seed);
   forest_ = fitted;
+  row_scaler_ = std::move(scaler);
   model_ = std::make_shared<const ml::ForestModel>(forest_, row_scaler_);
 }
 
@@ -82,8 +76,7 @@ std::shared_ptr<const ml::CompiledForest> RealtimeDetector::compile() const {
 }
 
 void RealtimeDetector::scale_rows_in_place(Matrix& raw_rows) const {
-  expects(scaler_.has_value(),
-          "RealtimeDetector::scale_rows_in_place: not fitted");
+  expects(is_fitted(), "RealtimeDetector::scale_rows_in_place: not fitted");
   // RowScaler::apply is the one row-major z-score implementation (shared
   // with the deployable artifacts); it validates the row width and stays
   // bit-identical to the offline column-major path.
@@ -93,7 +86,7 @@ void RealtimeDetector::scale_rows_in_place(Matrix& raw_rows) const {
 int RealtimeDetector::predict_row(std::span<const Real> raw_row,
                                   RealVector& scratch) const {
   expects(is_fitted(), "RealtimeDetector::predict_row: not fitted");
-  expects(raw_row.size() == scaler_->size(),
+  expects(raw_row.size() == row_scaler_.mean.size(),
           "RealtimeDetector::predict_row: row width mismatch");
   scratch.resize(raw_row.size());
   row_scaler_.apply_row(raw_row, scratch);
@@ -106,7 +99,7 @@ std::vector<int> RealtimeDetector::predict_windows(
   const features::WindowedFeatures windowed = features::extract_windowed_features(
       record, extractor_, config_.window_seconds, config_.overlap);
   Matrix scaled = windowed.features;
-  features::apply_zscore(scaled, *scaler_);
+  row_scaler_.apply(scaled);
   return forest_->predict_all(scaled);
 }
 
@@ -117,7 +110,7 @@ ml::ConfusionMatrix RealtimeDetector::evaluate(
   const features::WindowedFeatures windowed = features::extract_windowed_features(
       record, extractor_, config_.window_seconds, config_.overlap);
   Matrix scaled = windowed.features;
-  features::apply_zscore(scaled, *scaler_);
+  row_scaler_.apply(scaled);
   const std::vector<int> predicted = forest_->predict_all(scaled);
   std::vector<int> labels(windowed.count());
   for (std::size_t w = 0; w < windowed.count(); ++w) {

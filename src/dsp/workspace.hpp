@@ -12,9 +12,9 @@
 // Ownership rules (see README "Serving at scale"):
 //  * one Workspace per Engine, and so per shard: engine::Engine owns one
 //    and lends it to every session's ingest, so all the streams one
-//    thread drives reuse one warm, cache-resident arena. Streams borrow
-//    it (StreamingExtractor::push takes it) and keep no scratch of their
-//    own; any window geometry may follow any other;
+//    thread drives reuse one warm, cache-resident arena. Sessions borrow
+//    it (engine::PatientSession::ingest takes it) and keep no scratch of
+//    their own; any window geometry may follow any other;
 //  * a Workspace is NOT thread-safe — never call workspace overloads on
 //    the same instance from two threads concurrently (shard workers each
 //    drive their own Engine, hence their own Workspace);
@@ -62,8 +62,9 @@ class Workspace {
 
   // ----------------------------------------------- feature-layer scratch
   // General-purpose buffers for the feature extractors and the streaming
-  // layer (order statistics, difference series, entropy
-  // histogram/ordinal-pattern counting, window linearisation).
+  // sessions (order statistics, difference series, entropy
+  // histogram/ordinal-pattern counting, window linearisation, the
+  // feature row).
   // Contents are unspecified between calls.
 
   /// Order-statistics scratch: a window is copied here and partially
@@ -75,11 +76,13 @@ class Workspace {
   std::vector<std::size_t> counts;
   /// Histogram probability-mass scratch (entropy overloads).
   RealVector probabilities;
-  /// Per-channel linearised copies of the window being computed, and the
-  /// views over them handed to the feature extractor
-  /// (features::StreamingExtractor::push).
+  /// Per-channel linearised copies of the window being computed, the
+  /// views over them handed to the feature extractor, and the row it
+  /// writes (engine::PatientSession copies windows out of its sample
+  /// rings into these).
   std::vector<RealVector> windows;
   std::vector<std::span<const Real>> window_views;
+  RealVector row;
 
   // -------------------------------------------------- dsp-layer internals
   // Scratch owned by the dsp `*_into` implementations. Treat as opaque:

@@ -1,20 +1,22 @@
 // One monitored patient inside the streaming engine.
 //
 // A PatientSession ingests raw EEG in arbitrary-size chunks (from a radio
-// packet, a file reader, a socket — the engine does not care), runs the
-// incremental sliding-window extractor over per-channel ring buffers, and
-// parks the resulting raw e-Glass feature rows in a pending matrix that
-// the Engine drains into batched inference. The session keeps only
-// stream state; the DSP scratch each window needs comes from the
-// dsp::Workspace passed to ingest() — the Engine's one workspace, shared
-// by all its sessions — so a warm ingest -> extract -> pending ->
-// clear_pending cycle performs zero heap allocations end to end (see the
-// engine ZeroAllocation suite), and a new session needs no warm-up of
-// its own. The Engine is driven by one thread at a time, so the shared
-// workspace is never used concurrently. It also owns the per-patient
-// post-processing state (consecutive-positive alarm runs) and, optionally,
-// a retrospective history so a patient button press can label and learn
-// from the "last hour of signal" (see "Retrospective history" below).
+// packet, a file reader, a socket — the engine does not care), keeps the
+// samples in one fixed-capacity ring per channel, extracts a feature row
+// whenever a sliding window completes, and parks the raw e-Glass rows in
+// a pending matrix that the Engine drains into batched inference. The
+// session keeps only stream state; the window copies, the feature row
+// and the DSP scratch each window needs come from the dsp::Workspace
+// passed to ingest() — the Engine's one workspace, shared by all its
+// sessions — so a warm ingest -> extract -> pending -> clear_pending
+// cycle performs zero heap allocations end to end (see the engine
+// ZeroAllocation suite), and a new session needs no warm-up of its own.
+// The Engine is driven by one thread at a time, so the shared workspace
+// is never used concurrently. It also owns the per-patient
+// post-processing state (consecutive-positive alarm runs) and,
+// optionally, a retrospective history so a patient button press can
+// label and learn from the "last hour of signal" (see "Retrospective
+// history" below).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,6 @@
 #include "common/matrix.hpp"
 #include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
-#include "features/streaming.hpp"
 #include "signal/eeg_record.hpp"
 #include "signal/sample_ring.hpp"
 
@@ -39,8 +40,8 @@ struct SessionConfig {
   /// post-processing; RealtimeDetector::raises_alarm uses the same rule).
   std::size_t alarm_consecutive = 3;
   /// Length of the retrospective history used for a-posteriori labeling
-  /// on patient trigger ("the last hour"). 0 disables it, and the session
-  /// then allocates neither the sample history nor the row ring.
+  /// on patient trigger ("the last hour"). 0 disables it: the sample ring
+  /// then holds one window and the session allocates no row ring.
   Seconds history_seconds = 0.0;
   /// Model policy, read by the Engine: when false the session never uses
   /// the shared fleet detector and stays cold until its own self-learning
@@ -58,7 +59,7 @@ struct SessionConfig {
 void validate(const SessionConfig& config);
 
 /// Chunked ingest -> incremental windowing -> pending feature rows.
-class PatientSession final : private features::WindowSink {
+class PatientSession final {
  public:
   /// `extractor` must outlive the session (the engine owns one shared
   /// extractor; sessions borrow it).
@@ -86,11 +87,13 @@ class PatientSession final : private features::WindowSink {
   void clear_pending();
 
   /// Windows emitted since the stream started.
-  std::size_t windows_emitted() const { return streaming_.emitted(); }
-  /// Stream time (seconds) of the start of window `window_index`.
+  std::size_t windows_emitted() const { return emitted_; }
+  /// Stream time (seconds) of the start of emitted window `window_index`.
   Seconds window_start_s(std::size_t window_index) const;
-  /// Samples currently buffered toward the next window.
-  std::size_t buffered_samples() const { return streaming_.buffered(); }
+  /// Samples received since the start of the next window.
+  std::size_t buffered_samples() const {
+    return samples_received() - emitted_ * hop_;
+  }
 
   /// Feeds one classified window into the alarm post-processing, in
   /// window order. Returns true when this window completes a run of
@@ -100,20 +103,23 @@ class PatientSession final : private features::WindowSink {
   std::size_t alarms() const { return alarms_; }
 
   // ------------------------------------------------ retrospective history
-  // A history-enabled session keeps two rings, both allocated at open and
-  // overwritten in place once full:
-  //  * the raw samples of the last history_seconds, per channel; and
-  //  * the row ring: the e-Glass rows of the last
-  //    floor((history - window) / hop) + 1 streamed windows, i.e. every
-  //    streamed window that can lie wholly inside the sample history.
-  // The row ring costs one feature row per hop: 108 doubles (864 B) at the
-  // e-Glass width, about +21 % over the sample history at 2 channels x
-  // 256 Hz with a 1 s hop (4 KiB of samples per hop). Its storage is
-  // reserved, not touched, at open, so both rings take pages only as the
-  // stream fills them.
+  // The session stores each sample once, in one ring per channel that
+  // serves both the window being assembled and the history: it holds
+  // max(window, history_seconds) of signal, is allocated at open and is
+  // overwritten in place once full. ingest() stops at every window end to
+  // extract that window, so a window is always whole in the ring however
+  // large the chunk. A history-enabled session also keeps the row ring:
+  // the e-Glass rows of the last floor((history - window) / hop) + 1
+  // streamed windows, i.e. every streamed window that can lie wholly
+  // inside the history. A history therefore costs its samples plus one
+  // feature row per hop: 8 B per sample and channel (4 KiB per 1 s hop
+  // at 2 channels x 256 Hz) and 108 doubles (864 B) per hop at the
+  // e-Glass width, with no separate window ring beside it. Both rings'
+  // storage is reserved, not touched, at open, so they take pages only
+  // as the stream fills them.
 
-  bool history_enabled() const { return !history_.empty(); }
-  /// Seconds of signal currently held in the history ring.
+  bool history_enabled() const { return config_.history_seconds > 0.0; }
+  /// Seconds of signal currently held in the history (0 when disabled).
   Seconds history_buffered_s() const;
   /// Materializes the retrospective history as an EegRecord (wearable
   /// montage labels) for a-posteriori labeling. Requires history_enabled()
@@ -122,7 +128,7 @@ class PatientSession final : private features::WindowSink {
 
   /// Runs `extractor` over the sample history with the window plan of
   /// (window_seconds, overlap), reading each window straight from the
-  /// history ring into `workspace.windows`: bit-identical to
+  /// sample ring into `workspace.windows`: bit-identical to
   /// extract_windowed_features(history_record(), extractor,
   /// window_seconds, overlap) without materializing the record. Requires
   /// history_enabled() and at least one such window buffered.
@@ -144,15 +150,27 @@ class PatientSession final : private features::WindowSink {
   features::WindowedFeatures history_windows() const;
 
  private:
-  void on_window(std::size_t index, Seconds start_s,
-                 std::span<const Real> row) override;
+  /// Samples ingested since the stream started.
+  std::size_t samples_received() const {
+    return rings_.front().size() + rings_.front().dropped();
+  }
+  /// Runs `extractor` over the `length` samples starting `offset`
+  /// samples after the oldest held one, copied out of the rings into
+  /// `workspace.windows`; the row lands in `workspace.row`.
+  void extract_window(const features::WindowFeatureExtractor& extractor,
+                      std::size_t offset, std::size_t length,
+                      dsp::Workspace& workspace) const;
 
   std::uint64_t id_;
   SessionConfig config_;
-  features::StreamingExtractor streaming_;
+  const features::WindowFeatureExtractor& extractor_;
+  std::size_t window_length_;
+  std::size_t hop_;
+  std::size_t emitted_ = 0;
+  // One ring per channel, max(window_length_, history samples) long.
+  std::vector<signal::SampleRing> rings_;
   Matrix pending_;
   std::vector<std::size_t> pending_indices_;
-  std::vector<signal::SampleRing> history_;  // empty when disabled
   // Row ring: streamed window w lives in row w % row_capacity_. Appended
   // until full, then overwritten in place; row_capacity_ == 0 (and no
   // storage) when the history is disabled.

@@ -48,16 +48,4 @@ void SampleRing::copy_range(std::size_t offset, std::size_t count,
               out.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
-void SampleRing::drop_front(std::size_t count) {
-  expects(count <= size_, "SampleRing::drop_front: not enough samples");
-  head_ = (head_ + count) % capacity_;
-  size_ -= count;
-}
-
-void SampleRing::clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
 }  // namespace esl::signal

@@ -1,11 +1,10 @@
 // Fixed-capacity sample ring buffer.
 //
-// The streaming engine keeps two kinds of per-channel sample state: the
-// sliding-window assembly buffer (window_length samples, drained by hop)
-// and the optional retrospective history used for a-posteriori labeling
-// (the "last hour of signal", overwriting oldest samples). Both are this
-// ring: push appends and overwrites the oldest samples on overflow; reads
-// copy into caller-provided storage so the hot path never allocates.
+// The streaming engine keeps one of these per channel of a session. It
+// holds the window being assembled and, when enabled, the retrospective
+// history used for a-posteriori labeling (the "last hour of signal"):
+// push appends and overwrites the oldest samples on overflow; reads copy
+// into caller-provided storage so the hot path never allocates.
 //
 // The storage is allocated default-initialised: no read ever passes
 // size(), so nothing needs zeroing, and an hour-long history ring costs
@@ -39,22 +38,8 @@ class SampleRing {
   void copy_range(std::size_t offset, std::size_t count,
                   std::span<Real> out) const;
 
-  /// Copies the oldest `count` samples (in arrival order) into `out`.
-  /// `count` must be <= size() and out.size() >= count.
-  void copy_front(std::size_t count, std::span<Real> out) const {
-    copy_range(0, count, out);
-  }
-
-  /// Copies the whole content (oldest to newest) into `out`.
-  void copy_all(std::span<Real> out) const { copy_range(0, size_, out); }
-
-  /// Discards the oldest `count` samples (count <= size()).
-  void drop_front(std::size_t count);
-
-  /// Total samples overwritten by overflow since construction/clear.
+  /// Total samples overwritten by overflow since construction.
   std::size_t dropped() const { return dropped_; }
-
-  void clear();
 
  private:
   std::unique_ptr<Real[]> data_;

@@ -13,6 +13,19 @@
 
 namespace esl::signal {
 
+/// A window plan's length and hop in samples.
+struct WindowGeometry {
+  std::size_t length;
+  std::size_t hop;
+};
+
+/// The one seconds -> samples rule for windows: window_seconds *
+/// sample_rate_hz and its (1 - overlap) share, each rounded to the
+/// nearest sample, a hop of 0 becoming 1. Requires a positive rate and
+/// window, overlap in [0, 1) and a window of at least one sample.
+WindowGeometry window_geometry(Real sample_rate_hz, Real window_seconds,
+                               Real overlap);
+
 /// Window plan over a signal of `signal_length` samples.
 class SlidingWindows {
  public:
@@ -21,7 +34,8 @@ class SlidingWindows {
   SlidingWindows(std::size_t signal_length, std::size_t window_length,
                  std::size_t hop);
 
-  /// Builds the paper's plan: window_seconds = 4, overlap = 0.75.
+  /// Builds the plan of window_geometry(); the defaults are the paper's
+  /// 4 s windows at 75 % overlap.
   static SlidingWindows paper_plan(std::size_t signal_length,
                                    Real sample_rate_hz,
                                    Real window_seconds = 4.0,

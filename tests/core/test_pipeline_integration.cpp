@@ -1,13 +1,14 @@
 // Cross-module integration tests: the full §III pipeline assembled from
-// its public pieces, including the streaming (edge) feature path.
+// its public pieces, including the streaming (edge) feature path of an
+// engine::PatientSession.
 #include <gtest/gtest.h>
 
 #include "core/aposteriori.hpp"
 #include "core/deviation_metric.hpp"
 #include "core/event_metrics.hpp"
 #include "core/realtime_detector.hpp"
+#include "engine/patient_session.hpp"
 #include "features/paper_features.hpp"
-#include "features/streaming.hpp"
 #include "sim/cohort.hpp"
 
 namespace esl::core {
@@ -43,11 +44,10 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
       features::extract_windowed_features(*record_, extractor);
 
   // Streaming path: simulate the wearable receiving 256-sample packets.
-  features::StreamingExtractor streaming(extractor, record_->sample_rate_hz());
+  engine::SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  engine::PatientSession session(0, extractor, config);
   dsp::Workspace workspace;
-  features::WindowedFeatures streamed;
-  streamed.window_seconds = 4.0;
-  streamed.hop_seconds = 1.0;
   const std::size_t packet = 256;
   for (std::size_t pos = 0; pos < record_->length_samples(); pos += packet) {
     const std::size_t len =
@@ -57,11 +57,14 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
       block.push_back(
           std::span<const Real>(record_->channel(c).samples).subspan(pos, len));
     }
-    for (auto& row : streaming.push(block, workspace)) {
-      streamed.features.append_row(row);
-      streamed.window_start_s.push_back(
-          streaming.window_start_s(streamed.window_start_s.size()));
-    }
+    session.ingest(block, workspace);
+  }
+  features::WindowedFeatures streamed;
+  streamed.window_seconds = 4.0;
+  streamed.hop_seconds = 1.0;
+  streamed.features = session.pending();
+  for (std::size_t w = 0; w < session.windows_emitted(); ++w) {
+    streamed.window_start_s.push_back(session.window_start_s(w));
   }
   ASSERT_EQ(streamed.count(), batch.count());
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "features/eglass_features.hpp"
 #include "features/extractor.hpp"
@@ -89,6 +91,89 @@ TEST_F(PatientSessionTest, SingleSampleChunksMatchBatch) {
 
   ASSERT_EQ(session.pending().rows(), batch.count());
   EXPECT_EQ(session.pending(), batch.features);
+}
+
+TEST_F(PatientSessionTest, PaperExtractorStreamsBitIdenticallyToBatch) {
+  // The 10-feature extractor of Algorithm 1 streams through the same
+  // ring as the e-Glass one; odd chunk sizes stress the slicing.
+  const features::PaperFeatureExtractor extractor;
+  const features::WindowedFeatures batch =
+      features::extract_windowed_features(*record_, extractor);
+
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  PatientSession session(13, extractor, config);
+  const std::size_t chunk_sizes[] = {1, 7, 250, 1024, 999, 3000};
+  const std::size_t total = record_->length_samples();
+  std::size_t position = 0;
+  for (std::size_t k = 0; position < total; ++k) {
+    const std::size_t n = std::min(chunk_sizes[k % 6], total - position);
+    session.ingest(chunk_views(*record_, position, n), workspace_);
+    position += n;
+  }
+
+  ASSERT_EQ(session.pending().rows(), batch.count());
+  EXPECT_EQ(session.pending(), batch.features);  // bit-for-bit
+  for (std::size_t w = 0; w < batch.count(); ++w) {
+    EXPECT_EQ(session.window_start_s(w), batch.window_start_s[w]);
+  }
+}
+
+TEST_F(PatientSessionTest, EmitsNothingBeforeFirstFullWindow) {
+  const features::EglassFeatureExtractor extractor(2);
+  PatientSession session(14, extractor, SessionConfig{});
+  EXPECT_EQ(session.ingest(chunk_views(*record_, 0, 1023), workspace_), 0u);
+  EXPECT_EQ(session.pending().rows(), 0u);
+  EXPECT_EQ(session.windows_emitted(), 0u);
+  EXPECT_EQ(session.buffered_samples(), 1023u);
+}
+
+TEST_F(PatientSessionTest, OneSampleCompletesTheWindow) {
+  const features::EglassFeatureExtractor extractor(2);
+  PatientSession session(15, extractor, SessionConfig{});
+  session.ingest(chunk_views(*record_, 0, 1023), workspace_);
+  EXPECT_EQ(session.ingest(chunk_views(*record_, 1023, 1), workspace_), 1u);
+  EXPECT_EQ(session.windows_emitted(), 1u);
+  EXPECT_EQ(session.pending().rows(), 1u);
+  // The next window starts one 256-sample hop later: 768 of its samples
+  // are already buffered.
+  EXPECT_EQ(session.buffered_samples(), 768u);
+}
+
+TEST_F(PatientSessionTest, RejectedChunkLeavesTheStreamUnchanged) {
+  const features::EglassFeatureExtractor extractor(2);
+  const features::WindowedFeatures batch =
+      features::extract_windowed_features(*record_, extractor);
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 20.0;
+  PatientSession session(16, extractor, config);
+  stream_range(session, *record_, 0, 1500, 1500);
+  ASSERT_EQ(session.windows_emitted(), 2u);
+
+  const std::vector<std::span<const Real>> one = {
+      std::span<const Real>(record_->channel(0).samples).subspan(1500, 100)};
+  EXPECT_THROW(session.ingest(one, workspace_), InvalidArgument);
+  const std::vector<std::span<const Real>> ragged = {
+      std::span<const Real>(record_->channel(0).samples).subspan(1500, 100),
+      std::span<const Real>(record_->channel(1).samples).subspan(1500, 99)};
+  EXPECT_THROW(session.ingest(ragged, workspace_), InvalidArgument);
+
+  EXPECT_EQ(session.windows_emitted(), 2u);
+  EXPECT_EQ(session.buffered_samples(), 1500u - 2u * 256u);
+  EXPECT_EQ(session.history_buffered_s(), 1500.0 / 256.0);
+  // The stream continues as if the rejected chunks never arrived.
+  stream_range(session, *record_, 1500, record_->length_samples(), 1500);
+  EXPECT_EQ(session.pending(), batch.features);
+}
+
+TEST_F(PatientSessionTest, WindowStartOfAWindowNotYetEmittedThrows) {
+  const features::EglassFeatureExtractor extractor(2);
+  PatientSession session(17, extractor, SessionConfig{});
+  EXPECT_THROW((void)session.window_start_s(0), InvalidArgument);
+  session.ingest(chunk_views(*record_, 0, 1024), workspace_);
+  EXPECT_EQ(session.window_start_s(0), 0.0);
+  EXPECT_THROW((void)session.window_start_s(1), InvalidArgument);
 }
 
 TEST_F(PatientSessionTest, ClearPendingKeepsGlobalWindowIndices) {
@@ -247,6 +332,46 @@ TEST_F(PatientSessionTest, HistoryWindowsAreTheStreamedRowsOfTheHistory) {
   expect_same_windows(
       session.history_windows(),
       features::extract_windowed_features(session.history_record(), eglass));
+}
+
+TEST_F(PatientSessionTest, ChunkLongerThanTheHistoryKeepsEveryWindowWhole) {
+  // One 60 s chunk through an 8 s history spans 57 windows and wraps the
+  // ring many times: only the slicing at window ends, not the ring size,
+  // keeps each window intact when it is read.
+  const features::EglassFeatureExtractor eglass(2);
+  const features::WindowedFeatures batch =
+      features::extract_windowed_features(*record_, eglass);
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 8.0;  // 2048 samples, 5 windows
+  PatientSession session(18, eglass, config);
+  const std::size_t total = record_->length_samples();
+  EXPECT_EQ(session.ingest(chunk_views(*record_, 0, total), workspace_),
+            batch.count());
+  EXPECT_EQ(session.pending(), batch.features);  // bit-for-bit
+
+  const signal::EegRecord history = session.history_record();
+  ASSERT_EQ(history.length_samples(), 2048u);
+  for (std::size_t c = 0; c < history.channel_count(); ++c) {
+    for (std::size_t i = 0; i < history.length_samples(); ++i) {
+      ASSERT_EQ(history.channel(c).samples[i],
+                record_->channel(c).samples[total - 2048 + i])
+          << "channel " << c << " sample " << i;
+    }
+  }
+
+  // The windows inside the history are the batch's last five.
+  const features::WindowedFeatures windows = session.history_windows();
+  ASSERT_EQ(windows.count(), 5u);
+  const std::size_t first = batch.count() - 5;
+  for (std::size_t k = 0; k < windows.count(); ++k) {
+    const auto expected = batch.features.row(first + k);
+    const auto actual = windows.features.row(k);
+    EXPECT_TRUE(std::equal(actual.begin(), actual.end(), expected.begin()))
+        << "window " << k;
+    EXPECT_EQ(windows.window_start_s[k],
+              batch.window_start_s[first + k] - batch.window_start_s[first]);
+  }
 }
 
 TEST_F(PatientSessionTest, HistoryWindowsRequireTheHistory) {

@@ -27,7 +27,7 @@ TEST(SampleRing, PushAndCopyFrontPreservesOrder) {
   EXPECT_FALSE(ring.full());
 
   RealVector out(5);
-  ring.copy_front(5, out);
+  ring.copy_range(0, 5, out);
   EXPECT_EQ(out, v);
 }
 
@@ -40,7 +40,7 @@ TEST(SampleRing, OverflowDropsOldest) {
   EXPECT_EQ(ring.dropped(), 2u);
 
   RealVector out(4);
-  ring.copy_all(out);
+  ring.copy_range(0, 4, out);
   EXPECT_EQ(out, (RealVector{2.0, 3.0, 4.0, 5.0}));
 }
 
@@ -52,28 +52,30 @@ TEST(SampleRing, BlockLargerThanCapacityKeepsTail) {
   EXPECT_EQ(ring.dropped(), 8u);  // 2 buffered + 6 of the block
 
   RealVector out(4);
-  ring.copy_all(out);
+  ring.copy_range(0, 4, out);
   EXPECT_EQ(out, (RealVector{6.0, 7.0, 8.0, 9.0}));
 }
 
-TEST(SampleRing, DropFrontSlidesWindow) {
+TEST(SampleRing, FullRingSlidesAcrossThePhysicalEnd) {
   SampleRing ring(6);
   ring.push(iota(6));
-  ring.drop_front(2);
-  EXPECT_EQ(ring.size(), 4u);
-  ring.push(iota(2, 6.0));  // wraps around the physical end
+  ring.push(iota(2, 6.0));  // overwrites slots 0-1, head = 2
+  EXPECT_EQ(ring.size(), 6u);
 
   RealVector out(6);
-  ring.copy_all(out);
+  ring.copy_range(0, 6, out);
   EXPECT_EQ(out, (RealVector{2.0, 3.0, 4.0, 5.0, 6.0, 7.0}));
+  // The newest window of four, as a session reads it on completion.
+  RealVector window(4);
+  ring.copy_range(ring.size() - 4, 4, window);
+  EXPECT_EQ(window, (RealVector{4.0, 5.0, 6.0, 7.0}));
 }
 
 TEST(SampleRing, CopyFrontChecksBounds) {
   SampleRing ring(4);
   ring.push(iota(2));
   RealVector out(4);
-  EXPECT_THROW(ring.copy_front(3, out), InvalidArgument);
-  EXPECT_THROW(ring.drop_front(3), InvalidArgument);
+  EXPECT_THROW(ring.copy_range(0, 3, out), InvalidArgument);
 }
 
 TEST(SampleRing, CopyRangeReadsAcrossThePhysicalWrap) {
@@ -113,18 +115,6 @@ TEST(SampleRing, CopyRangeRejectsRequestsPastTheContent) {
   EXPECT_THROW(ring.copy_range(0, 3, small), InvalidArgument);
 }
 
-TEST(SampleRing, ClearResets) {
-  SampleRing ring(4);
-  ring.push(iota(6));
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  ring.push(iota(1));
-  RealVector out(1);
-  ring.copy_all(out);
-  EXPECT_EQ(out[0], 0.0);
-}
-
 TEST(SampleRing, ManySmallPushesMatchOneBigPush) {
   SampleRing a(100);
   SampleRing b(100);
@@ -137,8 +127,8 @@ TEST(SampleRing, ManySmallPushesMatchOneBigPush) {
   ASSERT_EQ(a.size(), b.size());
   RealVector out_a(a.size());
   RealVector out_b(b.size());
-  a.copy_all(out_a);
-  b.copy_all(out_b);
+  a.copy_range(0, a.size(), out_a);
+  b.copy_range(0, b.size(), out_b);
   EXPECT_EQ(out_a, out_b);
 }
 

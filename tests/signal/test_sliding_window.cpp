@@ -41,6 +41,29 @@ TEST(SlidingWindows, PaperPlanCustomOverlap) {
   EXPECT_EQ(plan.hop(), 512u);
 }
 
+TEST(SlidingWindows, WindowGeometryRoundsToWholeSamples) {
+  const WindowGeometry paper = window_geometry(256.0, 4.0, 0.75);
+  EXPECT_EQ(paper.length, 1024u);
+  EXPECT_EQ(paper.hop, 256u);
+  // 0.5 s at 250 Hz is 125 samples; the half-window hop rounds 62.5 to
+  // 63 and the quarter-window one 31.25 to 31.
+  const WindowGeometry half = window_geometry(250.0, 0.5, 0.5);
+  EXPECT_EQ(half.length, 125u);
+  EXPECT_EQ(half.hop, 63u);
+  EXPECT_EQ(window_geometry(250.0, 0.5, 0.75).hop, 31u);
+  // A hop that rounds to zero becomes one sample.
+  EXPECT_EQ(window_geometry(256.0, 4.0, 0.9999).hop, 1u);
+}
+
+TEST(SlidingWindows, WindowGeometryRejectsInvalidArguments) {
+  EXPECT_THROW(window_geometry(0.0, 4.0, 0.75), InvalidArgument);
+  EXPECT_THROW(window_geometry(256.0, -1.0, 0.75), InvalidArgument);
+  EXPECT_THROW(window_geometry(256.0, 4.0, 1.0), InvalidArgument);
+  EXPECT_THROW(window_geometry(256.0, 4.0, -0.1), InvalidArgument);
+  // Shorter than half a sample rounds to an empty window.
+  EXPECT_THROW(window_geometry(256.0, 0.001, 0.75), InvalidArgument);
+}
+
 TEST(SlidingWindows, ViewReturnsCorrectSlice) {
   RealVector signal(64);
   for (std::size_t i = 0; i < signal.size(); ++i) {
