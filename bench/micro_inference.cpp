@@ -2,13 +2,16 @@
 // (RandomForest::predict_all_into) vs the compiled flat traversal
 // (ml::CompiledForest::predict_into), across tree depth and batch size.
 // Both produce bit-identical outputs (tests/ml/test_compiled_forest.cpp);
-// this isolates the layout win.
+// this isolates the layout win. Also times a 32-tree forest fit
+// (RandomForest::fit) at the e-Glass width on a trigger-sized and a
+// training-buffer-sized dataset.
 //
 // Two modes:
 //  * default: Google Benchmark suite;
 //  * --json PATH: self-timed node-hop/compiled matrix over depth x
-//    batch, written as machine-readable JSON (BENCH_inference.json in
-//    CI) so the inference trajectory can be tracked across commits.
+//    batch plus the fit times, written as machine-readable JSON
+//    (BENCH_inference.json in CI) so the trajectory can be tracked
+//    across commits.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -49,6 +52,27 @@ ml::RandomForest fitted_forest(std::size_t max_depth) {
   ml::RandomForest forest(config);
   forest.fit(noisy_dataset(600, 7), 7);
   return forest;
+}
+
+/// Fit inputs at the two-channel e-Glass width: the first eight
+/// features shift with the label (as band powers do in a seizure), the
+/// rest are noise, so the trees stay as small as the detector's.
+constexpr std::size_t k_fit_features = 108;
+/// A trigger's balanced set (one seizure) and a buffer of several.
+constexpr std::size_t k_fit_rows[] = {120, 1500};
+
+ml::Dataset fit_dataset(std::size_t size) {
+  Rng rng(5);
+  ml::Dataset data;
+  RealVector row(k_fit_features);
+  for (std::size_t i = 0; i < size; ++i) {
+    const int label = i % 2 == 0 ? 1 : 0;
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      row[f] = rng.normal() + (f < 8 && label == 1 ? 1.5 : 0.0);
+    }
+    data.push_back(row, label);
+  }
+  return data;
 }
 
 Matrix probe_rows(std::size_t rows) {
@@ -101,8 +125,20 @@ void depth_by_batch(benchmark::internal::Benchmark* bench) {
   }
 }
 
+void bm_fit(benchmark::State& state) {
+  const ml::Dataset data =
+      fit_dataset(static_cast<std::size_t>(state.range(0)));
+  ml::RandomForest forest;
+  for (auto _ : state) {
+    forest.fit(data, 7);
+    benchmark::DoNotOptimize(forest.tree_count());
+  }
+}
+
 BENCHMARK(bm_node_hop)->Apply(depth_by_batch);
 BENCHMARK(bm_flat)->Apply(depth_by_batch);
+BENCHMARK(bm_fit)->Arg(k_fit_rows[0])->Arg(k_fit_rows[1])->Unit(
+    benchmark::kMillisecond);
 
 // --------------------------------------------------------------- --json
 // Self-timed node-hop vs compiled matrix (no Google Benchmark so
@@ -147,6 +183,23 @@ int run_json_mode(const std::string& path) {
     }
   }
 
+  struct FitCell {
+    std::size_t rows;
+    double fit_ms;
+  };
+  std::vector<FitCell> fits;
+  for (const std::size_t rows : k_fit_rows) {
+    const ml::Dataset data = fit_dataset(rows);
+    ml::RandomForest forest;
+    const PathResult fit = measure(
+        [&] {
+          forest.fit(data, 7);
+          benchmark::DoNotOptimize(forest.tree_count());
+        },
+        rows < 1000 ? 200 : 20);
+    fits.push_back({rows, 1000.0 / fit.windows_per_s});
+  }
+
   // Columns are rows/sec (per-call rate times batch), matching the
   // *_rps fields in the JSON.
   std::printf("%-18s %14s %14s %9s\n", "depth x batch", "node-hop (r/s)",
@@ -156,6 +209,12 @@ int run_json_mode(const std::string& path) {
                 c.node_hop.windows_per_s * c.batch,
                 c.compiled.windows_per_s * c.batch,
                 c.compiled.windows_per_s / c.node_hop.windows_per_s);
+  }
+
+  const std::size_t trees = ml::ForestConfig{}.tree_count;
+  for (const FitCell& c : fits) {
+    std::printf("fit %zu x %zu, %zu trees: %.2f ms\n", c.rows, k_fit_features,
+                trees, c.fit_ms);
   }
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -175,6 +234,14 @@ int run_json_mode(const std::string& path) {
         c.compiled.windows_per_s * c.batch,
         c.compiled.windows_per_s / c.node_hop.windows_per_s,
         i + 1 < cells.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"fit\": [\n");
+  for (std::size_t i = 0; i < fits.size(); ++i) {
+    std::fprintf(f,
+                 "    {\"rows\": %zu, \"features\": %zu, \"trees\": %zu, "
+                 "\"fit_ms\": %.3f}%s\n",
+                 fits[i].rows, k_fit_features, trees, fits[i].fit_ms,
+                 i + 1 < fits.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -128,9 +128,11 @@ class Engine {
   /// Attaches a personal self-learning pipeline to a session (enables
   /// patient_trigger). The session keeps using the fleet model until the
   /// pipeline trains a personal one. Throws InvalidArgument unless the
-  /// session keeps a history and config.realtime's window_seconds and
-  /// overlap equal the session's: the personal model trains on the
-  /// session's streamed rows and serves its later ones.
+  /// session keeps a history and its window geometry is Algorithm 1's
+  /// (core::k_labeling_window_seconds, core::k_labeling_overlap) and
+  /// config.realtime's: Algorithm 1 labels the session's streamed
+  /// windows, the personal model trains on their rows and then serves
+  /// the session's later ones.
   void attach_self_learning(std::uint64_t id,
                             const core::SelfLearningConfig& config);
   bool has_self_learning(std::uint64_t id) const;
@@ -139,17 +141,19 @@ class Engine {
   /// history with Algorithm 1 via the attached pipeline (which retrains),
   /// switches the session to the personalized detector once fitted, fires
   /// the label hook, and returns the label (in seconds from the history
-  /// start). Works from the session's own state, copying no record:
-  /// Algorithm 1's 10-feature windows are computed straight from the
-  /// sample history (PatientSession::history_features), and the training
-  /// rows are the e-Glass rows the session streamed for the windows
-  /// inside the history (PatientSession::history_windows, one 864 B row
-  /// per hop kept beside the samples). The result equals the offline
-  /// SelfLearningPipeline::on_patient_trigger(history_record()) bit for
-  /// bit while the history starts on a hop boundary; when it starts
-  /// mid-hop the rows are still the streamed windows, with starts offset
-  /// from the history start. Clears any swap_model override so the
-  /// freshly retrained model is never masked by a stale pinned artifact.
+  /// start). Works from the session's own state, copying no record. The
+  /// windows are the streamed windows lying wholly inside the history
+  /// (PatientSession::history_windows): their e-Glass rows, kept in the
+  /// session's row ring (one 864 B row per hop), are the training rows,
+  /// and Algorithm 1's 10 features of the same windows take their band
+  /// powers from those rows and their DWT entropies from the F8-T4
+  /// history (PatientSession::history_paper_features). The result equals
+  /// the offline SelfLearningPipeline::on_patient_trigger(history_record())
+  /// bit for bit while the history starts on a hop boundary. When it
+  /// starts mid-hop, Algorithm 1 labels and the model trains on the same
+  /// streamed windows, with starts offset from the history start. Clears
+  /// any swap_model override so the freshly retrained model is never
+  /// masked by a stale pinned artifact.
   signal::Interval patient_trigger(std::uint64_t id);
 
   /// Deploys `model` for session `id`: every window classified by a poll

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "features/eglass_features.hpp"
 #include "signal/montage.hpp"
 #include "signal/sliding_window.hpp"
 
@@ -110,8 +111,7 @@ std::size_t PatientSession::ingest(
     if (take < need) {
       return produced;  // chunk exhausted before the next window completed
     }
-    extract_window(extractor_, rings_.front().size() - window_length_,
-                   window_length_, workspace);
+    extract_newest_window(workspace);
     const std::span<const Real> row = workspace.row;
     pending_.append_row(row);
     pending_indices_.push_back(emitted_);
@@ -130,23 +130,21 @@ std::size_t PatientSession::ingest(
   }
 }
 
-void PatientSession::extract_window(
-    const features::WindowFeatureExtractor& extractor, std::size_t offset,
-    std::size_t length, dsp::Workspace& workspace) const {
+void PatientSession::extract_newest_window(dsp::Workspace& workspace) const {
   // Another session may have used the workspace since this one's last
   // window, so the copies and their views are re-sized on every call.
-  const std::size_t channels = extractor.required_channels();
+  const std::size_t offset = rings_.front().size() - window_length_;
   std::vector<RealVector>& windows = workspace.windows;
   std::vector<std::span<const Real>>& views = workspace.window_views;
-  windows.resize(channels);
-  views.resize(channels);
-  for (std::size_t c = 0; c < channels; ++c) {
-    windows[c].resize(length);
-    rings_[c].copy_range(offset, length, windows[c]);
+  windows.resize(rings_.size());
+  views.resize(rings_.size());
+  for (std::size_t c = 0; c < rings_.size(); ++c) {
+    windows[c].resize(window_length_);
+    rings_[c].copy_range(offset, window_length_, windows[c]);
     views[c] = windows[c];
   }
-  extractor.extract_into(views, config_.sample_rate_hz, workspace.row,
-                         workspace);
+  extractor_.extract_into(views, config_.sample_rate_hz, workspace.row,
+                          workspace);
 }
 
 void PatientSession::clear_pending() {
@@ -205,37 +203,9 @@ signal::EegRecord PatientSession::history_record(
   return record;
 }
 
-features::WindowedFeatures PatientSession::history_features(
-    const features::WindowFeatureExtractor& extractor, Seconds window_seconds,
-    Real overlap, dsp::Workspace& workspace) const {
-  expects(history_enabled(),
-          "PatientSession::history_features: history disabled");
-  expects(extractor.required_channels() <= rings_.size(),
-          "PatientSession::history_features: too few history channels");
-  const Real rate = config_.sample_rate_hz;
-  const auto plan = signal::SlidingWindows::paper_plan(
-      rings_.front().size(), rate, window_seconds, overlap);
-
-  const std::size_t feature_count = extractor.feature_count();
-  features::WindowedFeatures out;
-  out.window_seconds = window_seconds;
-  out.hop_seconds = static_cast<Seconds>(plan.hop()) / rate;
-  out.features = Matrix(plan.count(), feature_count);
-  out.window_start_s.resize(plan.count());
-  for (std::size_t w = 0; w < plan.count(); ++w) {
-    extract_window(extractor, plan.start(w), plan.window_length(), workspace);
-    ensures(workspace.row.size() == feature_count,
-            "PatientSession::history_features: wrong row width");
-    std::copy(workspace.row.begin(), workspace.row.end(),
-              out.features.row(w).begin());
-    out.window_start_s[w] = static_cast<Seconds>(plan.start(w)) / rate;
-  }
-  return out;
-}
-
-features::WindowedFeatures PatientSession::history_windows() const {
-  expects(history_enabled(),
-          "PatientSession::history_windows: history disabled");
+template <typename FillRow>
+features::WindowedFeatures PatientSession::history_matrix(
+    std::size_t width, FillRow fill_row) const {
   // The history holds stream samples [dropped, dropped + size); streamed
   // window w covers [w * hop, w * hop + window_length). Every emitted
   // window ends inside the stream, so the ones inside the history are
@@ -244,22 +214,55 @@ features::WindowedFeatures PatientSession::history_windows() const {
   const std::size_t dropped = rings_.front().dropped();
   const std::size_t first = (dropped + hop_ - 1) / hop_;
   const std::size_t count = emitted_ > first ? emitted_ - first : 0;
-  ensures(count <= row_capacity_,
-          "PatientSession::history_windows: row ring overrun");
+  ensures(count <= row_capacity_, "PatientSession: row ring overrun");
 
   const Real rate = config_.sample_rate_hz;
   features::WindowedFeatures out;
   out.window_seconds = config_.window_seconds;
   out.hop_seconds = static_cast<Seconds>(hop_) / rate;
-  out.features = Matrix(count, extractor_.feature_count());
+  out.features = Matrix(count, width);
   out.window_start_s.resize(count);
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t w = first + k;
-    const std::span<const Real> row = rows_.row(w % row_capacity_);
-    std::copy(row.begin(), row.end(), out.features.row(k).begin());
+    fill_row(w, out.features.row(k));
     out.window_start_s[k] = static_cast<Seconds>(w * hop_ - dropped) / rate;
   }
   return out;
+}
+
+features::WindowedFeatures PatientSession::history_windows() const {
+  expects(history_enabled(),
+          "PatientSession::history_windows: history disabled");
+  return history_matrix(extractor_.feature_count(),
+                        [&](std::size_t w, std::span<Real> out) {
+                          const auto row = rows_.row(w % row_capacity_);
+                          std::copy(row.begin(), row.end(), out.begin());
+                        });
+}
+
+features::WindowedFeatures PatientSession::history_paper_features(
+    const features::PaperFeatureExtractor& paper,
+    dsp::Workspace& workspace) const {
+  expects(history_enabled(),
+          "PatientSession::history_paper_features: history disabled");
+  expects(dynamic_cast<const features::EglassFeatureExtractor*>(&extractor_) !=
+                  nullptr &&
+              extractor_.required_channels() == 2,
+          "PatientSession::history_paper_features: the session does not "
+          "stream two-channel e-Glass rows");
+  const std::size_t dropped = rings_.front().dropped();
+  // Only the F8-T4 window leaves the ring; F7-T3's band powers are in
+  // the row.
+  workspace.windows.resize(rings_.size());
+  RealVector& f8t4 = workspace.windows[1];
+  f8t4.resize(window_length_);
+  return history_matrix(
+      features::PaperFeatureExtractor::k_feature_count,
+      [&](std::size_t w, std::span<Real> out) {
+        rings_[1].copy_range(w * hop_ - dropped, window_length_, f8t4);
+        paper.extract_from_eglass_row(rows_.row(w % row_capacity_), f8t4, out,
+                                      workspace);
+      });
 }
 
 }  // namespace esl::engine

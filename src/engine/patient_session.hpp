@@ -26,6 +26,7 @@
 #include "common/matrix.hpp"
 #include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
+#include "features/paper_features.hpp"
 #include "signal/eeg_record.hpp"
 #include "signal/sample_ring.hpp"
 
@@ -116,7 +117,10 @@ class PatientSession final {
   // at 2 channels x 256 Hz) and 108 doubles (864 B) per hop at the
   // e-Glass width, with no separate window ring beside it. Both rings'
   // storage is reserved, not touched, at open, so they take pages only
-  // as the stream fills them.
+  // as the stream fills them. A patient trigger reads both: the rows are
+  // the training rows and hold four of Algorithm 1's 10 features (its
+  // band powers), and the F8-T4 samples of each of those windows give
+  // the other six, so nothing else is kept for self-learning.
 
   bool history_enabled() const { return config_.history_seconds > 0.0; }
   /// Seconds of signal currently held in the history (0 when disabled).
@@ -125,16 +129,6 @@ class PatientSession final {
   /// montage labels) for a-posteriori labeling. Requires history_enabled()
   /// and at least one buffered window's worth of signal.
   signal::EegRecord history_record(const std::string& record_id = "") const;
-
-  /// Runs `extractor` over the sample history with the window plan of
-  /// (window_seconds, overlap), reading each window straight from the
-  /// sample ring into `workspace.windows`: bit-identical to
-  /// extract_windowed_features(history_record(), extractor,
-  /// window_seconds, overlap) without materializing the record. Requires
-  /// history_enabled() and at least one such window buffered.
-  features::WindowedFeatures history_features(
-      const features::WindowFeatureExtractor& extractor,
-      Seconds window_seconds, Real overlap, dsp::Workspace& workspace) const;
 
   /// The e-Glass rows this session streamed for the windows lying wholly
   /// inside the sample history, oldest first, from the row ring (nothing
@@ -149,17 +143,33 @@ class PatientSession final {
   /// history_enabled().
   features::WindowedFeatures history_windows() const;
 
+  /// Algorithm 1's 10 features of exactly the windows history_windows()
+  /// returns, with the same starts: each row's four band powers are read
+  /// from the window's streamed e-Glass row and only its F8-T4 window is
+  /// copied out of the sample ring (into `workspace.windows`) for the DWT
+  /// entropies (PaperFeatureExtractor::extract_from_eglass_row). Each row
+  /// is bit-identical to `paper`'s extract_into() on that window.
+  /// Requires history_enabled() and a two-channel e-Glass extractor.
+  features::WindowedFeatures history_paper_features(
+      const features::PaperFeatureExtractor& paper,
+      dsp::Workspace& workspace) const;
+
  private:
   /// Samples ingested since the stream started.
   std::size_t samples_received() const {
     return rings_.front().size() + rings_.front().dropped();
   }
-  /// Runs `extractor` over the `length` samples starting `offset`
-  /// samples after the oldest held one, copied out of the rings into
-  /// `workspace.windows`; the row lands in `workspace.row`.
-  void extract_window(const features::WindowFeatureExtractor& extractor,
-                      std::size_t offset, std::size_t length,
-                      dsp::Workspace& workspace) const;
+  /// The windows inside the history as a WindowedFeatures of `width`
+  /// columns, oldest first: `fill_row(w, row)` writes streamed window
+  /// w's row. Shared by history_windows and history_paper_features so
+  /// both list the same windows with the same starts.
+  template <typename FillRow>
+  features::WindowedFeatures history_matrix(std::size_t width,
+                                            FillRow fill_row) const;
+  /// Runs the session's extractor over the newest window_length_
+  /// samples, copied out of the rings into `workspace.windows`; the row
+  /// lands in `workspace.row`.
+  void extract_newest_window(dsp::Workspace& workspace) const;
 
   std::uint64_t id_;
   SessionConfig config_;

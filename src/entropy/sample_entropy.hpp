@@ -6,6 +6,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 
 #include "common/types.hpp"
 
@@ -25,6 +26,14 @@ Real sample_entropy(std::span<const Real> signal, std::size_t m, Real r);
 /// Sample entropy with relative tolerance r = k * stddev(signal).
 Real sample_entropy_relative(std::span<const Real> signal, std::size_t m,
                              Real k);
+
+/// Sample entropies at two relative tolerances k_a and k_b, from one
+/// stddev and one pass over the template pairs. Bit-identical to
+/// {sample_entropy_relative(signal, m, k_a),
+///  sample_entropy_relative(signal, m, k_b)}.
+std::pair<Real, Real> sample_entropy_relative_pair(std::span<const Real> signal,
+                                                   std::size_t m, Real k_a,
+                                                   Real k_b);
 
 /// Approximate entropy (self-matches included), template length `m`,
 /// absolute tolerance `r`. Returns 0 for signals shorter than m+2 samples.

@@ -41,6 +41,14 @@ class EglassFeatureExtractor final : public WindowFeatureExtractor {
   /// The 54 per-channel names without the channel prefix.
   static std::vector<std::string> per_channel_names();
 
+  /// Offsets of three band powers inside one channel's 54 features (the
+  /// spectral block follows the 12 time-domain statistics; see
+  /// per_channel_names()). Channel c's value sits at
+  /// c * k_eglass_features_per_channel + offset.
+  static constexpr std::size_t k_power_delta = 13;
+  static constexpr std::size_t k_power_theta = 14;
+  static constexpr std::size_t k_rel_theta = 19;
+
  private:
   std::size_t channels_;
   /// db4 filter bank cached at construction; building it per window used

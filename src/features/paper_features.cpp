@@ -1,6 +1,6 @@
 #include "features/paper_features.hpp"
 
-#include <algorithm>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "dsp/spectrum.hpp"
@@ -9,6 +9,7 @@
 #include "entropy/entropy.hpp"
 #include "entropy/permutation_entropy.hpp"
 #include "entropy/sample_entropy.hpp"
+#include "features/eglass_features.hpp"
 
 namespace esl::features {
 
@@ -57,6 +58,28 @@ void PaperFeatureExtractor::extract_into(
   dsp::periodogram_into(f8t4, sample_rate_hz, ws, ws.psd);
   out[3] = dsp::relative_band_power(ws.psd, dsp::bands::kTheta);
 
+  extract_wavelet_entropies(f8t4, out, ws);
+}
+
+void PaperFeatureExtractor::extract_from_eglass_row(
+    std::span<const Real> eglass_row, std::span<const Real> f8t4,
+    std::span<Real> out, dsp::Workspace& ws) const {
+  using Eglass = EglassFeatureExtractor;
+  constexpr std::size_t f8t4_offset = k_eglass_features_per_channel;
+  expects(eglass_row.size() == 2 * k_eglass_features_per_channel,
+          "PaperFeatureExtractor: not a two-channel e-Glass row");
+  expects(out.size() == k_feature_count,
+          "PaperFeatureExtractor: output row width mismatch");
+  out[0] = eglass_row[Eglass::k_power_theta];
+  out[1] = eglass_row[Eglass::k_rel_theta];
+  out[2] = eglass_row[Eglass::k_power_delta];
+  out[3] = eglass_row[f8t4_offset + Eglass::k_rel_theta];
+  extract_wavelet_entropies(f8t4, out, ws);
+}
+
+void PaperFeatureExtractor::extract_wavelet_entropies(
+    std::span<const Real> f8t4, std::span<Real> out,
+    dsp::Workspace& ws) const {
   // Nonlinear features of the F8-T4 DWT decomposition (db4, level 7).
   dsp::wavedec_into(f8t4, db4_, config_.dwt_levels, ws, ws.decomposition,
                     dsp::ExtensionMode::kPeriodic);
@@ -71,10 +94,8 @@ void PaperFeatureExtractor::extract_into(
   out[7] = entropy::renyi_of_signal(level3, config_.renyi_alpha,
                                     config_.renyi_bins, ws.counts,
                                     ws.probabilities);
-  out[8] = entropy::sample_entropy_relative(level6, config_.sample_entropy_m,
-                                            0.2);
-  out[9] = entropy::sample_entropy_relative(level6, config_.sample_entropy_m,
-                                            0.35);
+  std::tie(out[8], out[9]) = entropy::sample_entropy_relative_pair(
+      level6, config_.sample_entropy_m, 0.2, 0.35);
 }
 
 }  // namespace esl::features

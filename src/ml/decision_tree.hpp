@@ -2,6 +2,8 @@
 // forest classifier used by the real-time detector [7, 28].
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -19,6 +21,28 @@ struct TreeConfig {
   std::size_t features_per_split = 0;
 };
 
+/// The row order of every column of a training matrix, ascending by
+/// value (ties in any order), computed once so that each tree grown on
+/// the matrix walks rows in value order instead of sorting at every node.
+/// A forest builds one per fit and drops it when the fit returns.
+class SortedColumns {
+ public:
+  explicit SortedColumns(const Matrix& x);
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  /// Row indices of column `feature`, in ascending value order.
+  std::span<const std::uint32_t> column(std::size_t feature) const {
+    return std::span<const std::uint32_t>(order_).subspan(feature * rows_,
+                                                          rows_);
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<std::uint32_t> order_;  // column-major: cols_ x rows_
+};
+
 /// Binary CART classifier.
 class DecisionTree {
  public:
@@ -27,6 +51,13 @@ class DecisionTree {
   /// subsampling.
   void fit(const Matrix& x, const std::vector<int>& y,
            const std::vector<std::size_t>& sample_indices, Rng& rng,
+           const TreeConfig& config = {});
+
+  /// The same fit with `sorted` == SortedColumns(x) supplied by the
+  /// caller, so that the trees of one forest share one presort.
+  void fit(const Matrix& x, const std::vector<int>& y,
+           const std::vector<std::size_t>& sample_indices,
+           const SortedColumns& sorted, Rng& rng,
            const TreeConfig& config = {});
 
   /// Convenience fit over all rows.
@@ -74,10 +105,9 @@ class DecisionTree {
     Real positive_fraction = 0.0;
   };
 
-  std::size_t build(const Matrix& x, const std::vector<int>& y,
-                    std::vector<std::size_t>& indices, std::size_t begin,
-                    std::size_t end, std::size_t level, Rng& rng,
-                    const TreeConfig& config);
+  struct Growth;
+  std::size_t build(Growth& g, std::size_t begin, std::size_t end,
+                    std::size_t level);
 
   std::vector<Node> nodes_;
   std::size_t depth_ = 0;

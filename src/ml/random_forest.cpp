@@ -36,6 +36,9 @@ void RandomForest::fit(const Dataset& data, std::uint64_t seed) {
       1, static_cast<std::size_t>(config_.bootstrap_fraction *
                                   static_cast<Real>(data.size())));
 
+  // Every tree walks the same presorted columns; the presort lives only
+  // for this fit.
+  const SortedColumns sorted(data.x);
   trees_.assign(config_.tree_count, DecisionTree{});
   Rng root(seed);
   for (std::size_t t = 0; t < trees_.size(); ++t) {
@@ -44,7 +47,7 @@ void RandomForest::fit(const Dataset& data, std::uint64_t seed) {
     for (auto& index : bootstrap) {
       index = static_cast<std::size_t>(tree_rng.uniform_index(data.size()));
     }
-    trees_[t].fit(data.x, data.y, bootstrap, tree_rng, tree_config);
+    trees_[t].fit(data.x, data.y, bootstrap, sorted, tree_rng, tree_config);
   }
 }
 

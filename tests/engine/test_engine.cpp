@@ -443,7 +443,10 @@ TEST_F(EngineTest, RejectsUnknownSessionAndMissingPipeline) {
 
 TEST_F(EngineTest, AttachRejectsAPipelineOfAnotherWindowGeometry) {
   // The personal model trains on the session's rows and then serves its
-  // later ones, so a pipeline built for other windows is refused.
+  // later ones, so a pipeline built for other windows is refused; and
+  // Algorithm 1 labels the session's streamed windows, so a session of
+  // any geometry but Algorithm 1's is refused even with a matching
+  // pipeline.
   Engine engine(*fleet_);
   SessionConfig config;
   config.history_seconds = 600.0;
@@ -460,8 +463,11 @@ TEST_F(EngineTest, AttachRejectsAPipelineOfAnotherWindowGeometry) {
   config.overlap = 0.5;
   const std::uint64_t two_s = engine.add_session(config);
   learn.realtime.window_seconds = 2.0;
-  engine.attach_self_learning(two_s, learn);
-  EXPECT_TRUE(engine.has_self_learning(two_s));
+  EXPECT_THROW(engine.attach_self_learning(two_s, learn), InvalidArgument);
+  EXPECT_FALSE(engine.has_self_learning(two_s));
+
+  engine.attach_self_learning(id, core::SelfLearningConfig{});
+  EXPECT_TRUE(engine.has_self_learning(id));
 }
 
 /// The trigger's label and personal model must equal those of `reference`
@@ -551,9 +557,10 @@ TEST_F(EngineTest, PatientTriggerMatchesOfflinePipelineAfterAWholeHopWrap) {
 TEST_F(EngineTest, PatientTriggerTrainsOnTheStreamedRowsWhenHistoryStartsMidHop) {
   // 0.25 s chunks, stopped a quarter second short of a whole second, past
   // a wrap of the 300 s history: the history starts 3/4 into a hop. The
-  // documented semantics: the training rows are exactly the streamed
-  // rows of the windows inside the history, starting at the first hop
-  // boundary in it, with starts relative to the history start.
+  // documented semantics: Algorithm 1 labels, and the model trains on
+  // the streamed rows of, exactly the streamed windows inside the
+  // history, starting at the first hop boundary in it, with starts
+  // relative to the history start.
   Engine engine(std::make_shared<core::RealtimeDetector>());
   core::SelfLearningConfig learn;
   learn.average_seizure_duration_s = simulator_->average_seizure_duration(4);
@@ -589,11 +596,22 @@ TEST_F(EngineTest, PatientTriggerTrainsOnTheStreamedRowsWhenHistoryStartsMidHop)
   EXPECT_EQ(rows.features, expected.features);
   EXPECT_EQ(rows.window_start_s, expected.window_start_s);
 
+  // Algorithm 1 labels those same streamed windows.
+  const features::PaperFeatureExtractor paper;
+  features::WindowedFeatures paper_windows = expected;
+  paper_windows.features =
+      Matrix(inside.size(), features::PaperFeatureExtractor::k_feature_count);
+  RealVector row;
+  dsp::Workspace workspace;
+  for (std::size_t k = 0; k < inside.size(); ++k) {
+    paper.extract_into(chunk_views(*seizure_record_, inside[k] * hop, window),
+                       seizure_record_->sample_rate_hz(), row, workspace);
+    std::copy(row.begin(), row.end(), paper_windows.features.row(k).begin());
+  }
+
   core::SelfLearningPipeline reference(learn);
-  const signal::Interval reference_label = reference.on_patient_trigger(
-      features::extract_windowed_features(session.history_record(),
-                                          features::PaperFeatureExtractor()),
-      expected);
+  const signal::Interval reference_label =
+      reference.on_patient_trigger(paper_windows, expected);
   const signal::Interval label = engine.patient_trigger(id);
   expect_same_outcome(engine, id, label, reference_label, reference,
                       *train_record_);

@@ -277,35 +277,70 @@ void expect_same_windows(const features::WindowedFeatures& actual,
 }
 
 TEST_F(PatientSessionTest, HistoryFeaturesMatchOfflineExtractionOfHistory) {
-  // Algorithm 1's windows read straight from the history ring must be
-  // the offline extraction of the materialized history, bit for bit,
-  // whether or not the ring has wrapped and wherever the wrap falls.
+  // Algorithm 1's rows of the streamed windows inside the history, built
+  // from the row ring and the F8-T4 history, must be the offline
+  // extraction of those windows bit for bit, whether or not the ring has
+  // wrapped and wherever the wrap falls. While the history starts on a
+  // hop boundary they are the offline extraction of the materialized
+  // history.
   const features::EglassFeatureExtractor eglass(2);
   const features::PaperFeatureExtractor paper;
   SessionConfig config;
   config.sample_rate_hz = record_->sample_rate_hz();
   config.history_seconds = 20.0;  // 5120 samples
   PatientSession session(10, eglass, config);
-  const auto expect_offline_parity = [&] {
-    expect_same_windows(
-        session.history_features(paper, 4.0, 0.75, workspace_),
-        features::extract_windowed_features(session.history_record(), paper));
+  const std::size_t capacity = 5120;
+  const std::size_t window = 1024;
+  const std::size_t hop = 256;
+  const auto expect_streamed_parity =
+      [&](const features::WindowedFeatures& actual, std::size_t received) {
+    const features::WindowedFeatures windows = session.history_windows();
+    EXPECT_EQ(actual.window_start_s, windows.window_start_s);
+    EXPECT_EQ(actual.window_seconds, windows.window_seconds);
+    EXPECT_EQ(actual.hop_seconds, windows.hop_seconds);
+    const std::size_t dropped = received - std::min(received, capacity);
+    const std::size_t first = (dropped + hop - 1) / hop;
+    ASSERT_EQ(actual.count(), (received - window) / hop + 1 - first);
+    dsp::Workspace reference_workspace;
+    RealVector expected;
+    for (std::size_t k = 0; k < actual.count(); ++k) {
+      const std::size_t start = (first + k) * hop;
+      paper.extract_into(chunk_views(*record_, start, window),
+                         record_->sample_rate_hz(), expected,
+                         reference_workspace);
+      const auto row = actual.features.row(k);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), expected.begin()))
+          << "window " << first + k;
+    }
   };
 
   // 15 s: the ring has not wrapped.
   stream_range(session, *record_, 0, 3840, 777);
   ASSERT_LT(session.history_buffered_s(), config.history_seconds);
-  expect_offline_parity();
+  features::WindowedFeatures actual =
+      session.history_paper_features(paper, workspace_);
+  expect_streamed_parity(actual, 3840);
+  expect_same_windows(
+      actual,
+      features::extract_windowed_features(session.history_record(), paper));
 
-  // 25.5 s: the ring's oldest sample sits at slot 1408, so its physical
-  // end falls at history offset 3712, inside window 11 ([2816, 3840)).
+  // 25.5 s: the history starts mid-hop (5.5 hops dropped), and the ring's
+  // physical end falls at history offset 3712, inside a window.
   stream_range(session, *record_, 3840, 6528, 777);
   ASSERT_DOUBLE_EQ(session.history_buffered_s(), config.history_seconds);
-  expect_offline_parity();
+  expect_streamed_parity(session.history_paper_features(paper, workspace_),
+                         6528);
 
-  // The rest of the record: wrapped several times.
-  stream_range(session, *record_, 6528, record_->length_samples(), 777);
-  expect_offline_parity();
+  // The rest of the record: wrapped several times, back on a hop
+  // boundary.
+  const std::size_t total = record_->length_samples();
+  ASSERT_EQ((total - capacity) % hop, 0u);
+  stream_range(session, *record_, 6528, total, 777);
+  actual = session.history_paper_features(paper, workspace_);
+  expect_streamed_parity(actual, total);
+  expect_same_windows(
+      actual,
+      features::extract_windowed_features(session.history_record(), paper));
 }
 
 TEST_F(PatientSessionTest, HistoryWindowsAreTheStreamedRowsOfTheHistory) {
@@ -379,7 +414,25 @@ TEST_F(PatientSessionTest, HistoryWindowsRequireTheHistory) {
   const features::PaperFeatureExtractor paper;
   PatientSession session(12, eglass, SessionConfig{});
   EXPECT_THROW(session.history_windows(), InvalidArgument);
-  EXPECT_THROW(session.history_features(paper, 4.0, 0.75, workspace_),
+  EXPECT_THROW(session.history_paper_features(paper, workspace_),
+               InvalidArgument);
+}
+
+TEST_F(PatientSessionTest, HistoryPaperFeaturesNeedTwoChannelEglassRows) {
+  // Algorithm 1's band powers are read from the streamed rows, so a
+  // session streaming any other rows cannot serve them.
+  const features::PaperFeatureExtractor paper;
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 20.0;
+  PatientSession streams_paper_rows(13, paper, config);
+  stream_range(streams_paper_rows, *record_, 0, 2048, 256);
+  EXPECT_THROW(streams_paper_rows.history_paper_features(paper, workspace_),
+               InvalidArgument);
+  const features::EglassFeatureExtractor one_channel(1);
+  PatientSession streams_one_channel(14, one_channel, config);
+  stream_range(streams_one_channel, *record_, 0, 2048, 256);
+  EXPECT_THROW(streams_one_channel.history_paper_features(paper, workspace_),
                InvalidArgument);
 }
 

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "common/statistics.hpp"
 
 namespace esl::entropy {
 namespace {
@@ -100,6 +105,76 @@ TEST(SampleEntropy, RejectsBadParameters) {
   EXPECT_THROW(sample_entropy(x, 0, 0.1), InvalidArgument);
   EXPECT_THROW(sample_entropy(x, 2, -0.1), InvalidArgument);
   EXPECT_THROW(sample_entropy_relative(x, 2, 0.0), InvalidArgument);
+}
+
+/// Richman-Moorman sample entropy counted the direct way, one tolerance
+/// and one template comparison at a time.
+Real reference_sample_entropy(const RealVector& x, std::size_t m, Real r) {
+  const std::size_t count = x.size() - m;
+  std::size_t b = 0;
+  std::size_t a = 0;
+  for (std::size_t i = 0; i + 1 < count; ++i) {
+    for (std::size_t j = i + 1; j < count; ++j) {
+      bool match = true;
+      for (std::size_t k = 0; k < m; ++k) {
+        match = match && std::abs(x[i + k] - x[j + k]) <= r;
+      }
+      if (match) {
+        ++b;
+        a += std::abs(x[i + m] - x[j + m]) <= r ? 1 : 0;
+      }
+    }
+  }
+  if (b == 0) {
+    return 0.0;
+  }
+  if (a == 0) {
+    const Real nm = static_cast<Real>(x.size() - m);
+    return std::log(nm * (nm - 1.0)) - std::log(2.0);
+  }
+  return -std::log(static_cast<Real>(a) / static_cast<Real>(b));
+}
+
+TEST(SampleEntropy, PairEqualsTwoSeparateCallsBitForBit) {
+  RealVector tied = random_signal(200, 12);
+  for (auto& v : tied) {
+    v = std::round(2.0 * v) / 2.0;  // few distinct levels: distances tie r
+  }
+  RealVector steps(120);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    steps[i] = static_cast<Real>(i % 3);
+  }
+  const std::vector<RealVector> signals = {
+      random_signal(16, 11),  random_signal(300, 13), tied, steps,
+      RealVector(64, 1.5),    sine(128, 9.0),         {1.0, 2.0, 3.0}};
+  const std::pair<Real, Real> tolerances[] = {{0.2, 0.35}, {0.35, 0.2},
+                                              {0.5, 0.5},  {0.1, 2.0}};
+  for (std::size_t s = 0; s < signals.size(); ++s) {
+    for (const auto& [k_a, k_b] : tolerances) {
+      for (const std::size_t m : {1u, 2u, 3u}) {
+        const auto [a, b] =
+            sample_entropy_relative_pair(signals[s], m, k_a, k_b);
+        const Real separate_a = sample_entropy_relative(signals[s], m, k_a);
+        const Real separate_b = sample_entropy_relative(signals[s], m, k_b);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
+                  std::bit_cast<std::uint64_t>(separate_a))
+            << "signal " << s << " m " << m << " k " << k_a;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b),
+                  std::bit_cast<std::uint64_t>(separate_b))
+            << "signal " << s << " m " << m << " k " << k_b;
+        if (signals[s].size() >= m + 2 && stats::stddev(signals[s]) > 0.0) {
+          const Real sigma = stats::stddev(signals[s]);
+          EXPECT_EQ(a, reference_sample_entropy(signals[s], m, k_a * sigma));
+          EXPECT_EQ(b, reference_sample_entropy(signals[s], m, k_b * sigma));
+        } else {
+          EXPECT_EQ(a, 0.0);
+          EXPECT_EQ(b, 0.0);
+        }
+      }
+    }
+  }
+  EXPECT_THROW(sample_entropy_relative_pair(signals[1], 2, 0.2, 0.0),
+               InvalidArgument);
 }
 
 TEST(ApproximateEntropy, RegularBelowNoise) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
+#include "dsp/workspace.hpp"
+#include "features/eglass_features.hpp"
 #include "features/extractor.hpp"
 #include "features/normalize.hpp"
 #include "sim/cohort.hpp"
@@ -31,6 +36,72 @@ TEST(PaperFeatures, OutputWidthIsTen) {
   }
   const RealVector out = extractor.extract({window, window}, 256.0);
   EXPECT_EQ(out.size(), 10u);
+}
+
+TEST(PaperFeatures, EglassOffsetsNameTheBandPowers) {
+  const auto names = EglassFeatureExtractor::per_channel_names();
+  EXPECT_EQ(names[EglassFeatureExtractor::k_power_delta], "power_delta");
+  EXPECT_EQ(names[EglassFeatureExtractor::k_power_theta], "power_theta");
+  EXPECT_EQ(names[EglassFeatureExtractor::k_rel_theta], "rel_theta");
+}
+
+TEST(PaperFeatures, RowBasedExtractIsBitIdenticalOverACohortRecord) {
+  // Over every distinct 1 s-hop window of a 600 s seizure record, for two
+  // cohort seeds: Algorithm 1's row built from the window's e-Glass row
+  // and its F8-T4 samples equals extract_into() in all 10 columns, and
+  // columns 0-3 are the e-Glass band powers at the named offsets.
+  const EglassFeatureExtractor eglass(2);
+  const PaperFeatureExtractor paper;
+  using Eglass = EglassFeatureExtractor;
+  const std::size_t offsets[] = {
+      Eglass::k_power_theta, Eglass::k_rel_theta, Eglass::k_power_delta,
+      k_eglass_features_per_channel + Eglass::k_rel_theta};
+  for (const std::uint64_t seed : {1u, 7u}) {
+    const sim::CohortSimulator simulator(seed);
+    const auto events = simulator.events_for_patient(4);
+    const signal::EegRecord record =
+        simulator.synthesize_sample(events[0], 0, 600.0, 600.0);
+    const WindowedFeatures rows = extract_windowed_features(record, eglass);
+    const WindowedFeatures reference = extract_windowed_features(record, paper);
+    ASSERT_GE(rows.count(), 597u);
+    ASSERT_EQ(rows.count(), reference.count());
+    const std::span<const Real> f8t4 = record.channel(1).samples;
+    const std::size_t window = 1024;
+    const std::size_t hop = 256;
+    dsp::Workspace workspace;
+    RealVector out(PaperFeatureExtractor::k_feature_count);
+    for (std::size_t w = 0; w < rows.count(); ++w) {
+      paper.extract_from_eglass_row(rows.features.row(w),
+                                    f8t4.subspan(w * hop, window), out,
+                                    workspace);
+      const auto expected = reference.features.row(w);
+      for (std::size_t f = 0; f < out.size(); ++f) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[f]),
+                  std::bit_cast<std::uint64_t>(expected[f]))
+            << "seed " << seed << " window " << w << " column " << f;
+      }
+      for (std::size_t f = 0; f < std::size(offsets); ++f) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(rows.features(w, offsets[f])),
+                  std::bit_cast<std::uint64_t>(expected[f]))
+            << "seed " << seed << " window " << w << " column " << f;
+      }
+    }
+  }
+}
+
+TEST(PaperFeatures, RowBasedExtractRejectsRowsOfAnotherWidth) {
+  const PaperFeatureExtractor paper;
+  dsp::Workspace workspace;
+  const RealVector window(1024, 1.0);
+  const RealVector one_channel(k_eglass_features_per_channel, 0.0);
+  RealVector out(PaperFeatureExtractor::k_feature_count);
+  EXPECT_THROW(paper.extract_from_eglass_row(one_channel, window, out,
+                                             workspace),
+               InvalidArgument);
+  const RealVector row(2 * k_eglass_features_per_channel, 0.0);
+  RealVector narrow(4);
+  EXPECT_THROW(paper.extract_from_eglass_row(row, window, narrow, workspace),
+               InvalidArgument);
 }
 
 TEST(PaperFeatures, RelativePowersAreFractions) {
