@@ -72,7 +72,7 @@ PatientSession::PatientSession(
     expects(capacity >= window_length_,
             "PatientSession: history shorter than one window");
     row_capacity_ = (capacity - window_length_) / hop_ + 1;
-    rows_.reserve_rows(row_capacity_, feature_count);
+    rows_ = PageBuffer(row_capacity_ * feature_count);
   }
   rings_.reserve(channels);
   for (std::size_t c = 0; c < channels; ++c) {
@@ -116,14 +116,8 @@ std::size_t PatientSession::ingest(
     pending_.append_row(row);
     pending_indices_.push_back(emitted_);
     if (row_capacity_ != 0) {
-      // Windows arrive in order from 0, so until the ring is full
-      // emitted_ is the next row.
-      if (rows_.rows() < row_capacity_) {
-        rows_.append_row(row);
-      } else {
-        std::copy(row.begin(), row.end(),
-                  rows_.row(emitted_ % row_capacity_).begin());
-      }
+      std::copy(row.begin(), row.end(),
+                rows_.data() + (emitted_ % row_capacity_) * row.size());
     }
     ++emitted_;
     ++produced;
@@ -203,6 +197,11 @@ signal::EegRecord PatientSession::history_record(
   return record;
 }
 
+std::span<const Real> PatientSession::streamed_row(std::size_t w) const {
+  const std::size_t width = extractor_.feature_count();
+  return {rows_.data() + (w % row_capacity_) * width, width};
+}
+
 template <typename FillRow>
 features::WindowedFeatures PatientSession::history_matrix(
     std::size_t width, FillRow fill_row) const {
@@ -235,7 +234,7 @@ features::WindowedFeatures PatientSession::history_windows() const {
           "PatientSession::history_windows: history disabled");
   return history_matrix(extractor_.feature_count(),
                         [&](std::size_t w, std::span<Real> out) {
-                          const auto row = rows_.row(w % row_capacity_);
+                          const auto row = streamed_row(w);
                           std::copy(row.begin(), row.end(), out.begin());
                         });
 }
@@ -260,8 +259,7 @@ features::WindowedFeatures PatientSession::history_paper_features(
       features::PaperFeatureExtractor::k_feature_count,
       [&](std::size_t w, std::span<Real> out) {
         rings_[1].copy_range(w * hop_ - dropped, window_length_, f8t4);
-        paper.extract_from_eglass_row(rows_.row(w % row_capacity_), f8t4, out,
-                                      workspace);
+        paper.extract_from_eglass_row(streamed_row(w), f8t4, out, workspace);
       });
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/page_buffer.hpp"
 #include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
 #include "features/paper_features.hpp"
@@ -115,9 +116,10 @@ class PatientSession final {
   // inside the history. A history therefore costs its samples plus one
   // feature row per hop: 8 B per sample and channel (4 KiB per 1 s hop
   // at 2 channels x 256 Hz) and 108 doubles (864 B) per hop at the
-  // e-Glass width, with no separate window ring beside it. Both rings'
-  // storage is reserved, not touched, at open, so they take pages only
-  // as the stream fills them. A patient trigger reads both: the rows are
+  // e-Glass width, with no separate window ring beside it. A history's
+  // rings are PageBuffers: they map their own pages on the first chunk,
+  // take them only as the stream fills them and return them when the
+  // session closes. A patient trigger reads both: the rows are
   // the training rows and hold four of Algorithm 1's 10 features (its
   // band powers), and the F8-T4 samples of each of those windows give
   // the other six, so nothing else is kept for self-learning.
@@ -166,6 +168,8 @@ class PatientSession final {
   template <typename FillRow>
   features::WindowedFeatures history_matrix(std::size_t width,
                                             FillRow fill_row) const;
+  /// Streamed window w's e-Glass row in the row ring (w < emitted_).
+  std::span<const Real> streamed_row(std::size_t w) const;
   /// Runs the session's extractor over the newest window_length_
   /// samples, copied out of the rings into `workspace.windows`; the row
   /// lands in `workspace.row`.
@@ -181,10 +185,11 @@ class PatientSession final {
   std::vector<signal::SampleRing> rings_;
   Matrix pending_;
   std::vector<std::size_t> pending_indices_;
-  // Row ring: streamed window w lives in row w % row_capacity_. Appended
-  // until full, then overwritten in place; row_capacity_ == 0 (and no
-  // storage) when the history is disabled.
-  Matrix rows_;
+  // Row ring: streamed window w's row lives at row w % row_capacity_
+  // (windows arrive in order from 0, so it fills, then is overwritten in
+  // place); row_capacity_ == 0 (and no storage) when the history is
+  // disabled.
+  PageBuffer rows_;
   std::size_t row_capacity_ = 0;
   std::size_t alarm_run_ = 0;
   std::size_t alarms_ = 0;

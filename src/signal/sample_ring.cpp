@@ -7,25 +7,25 @@
 namespace esl::signal {
 
 SampleRing::SampleRing(std::size_t capacity)
-    : data_(std::make_unique_for_overwrite<Real[]>(capacity)),
-      capacity_(capacity) {
+    : data_(capacity), capacity_(capacity) {
   expects(capacity >= 1, "SampleRing: capacity must be positive");
 }
 
 void SampleRing::push(std::span<const Real> samples) {
   const std::size_t cap = capacity_;
+  Real* data = data_.data();
   // A block longer than the ring reduces to its trailing `cap` samples.
   if (samples.size() > cap) {
     dropped_ += size_ + samples.size() - cap;
     head_ = 0;
     size_ = cap;
     std::copy(samples.end() - static_cast<std::ptrdiff_t>(cap), samples.end(),
-              data_.get());
+              data);
     return;
   }
   std::size_t tail = (head_ + size_) % cap;
   for (const Real sample : samples) {
-    data_[tail] = sample;
+    data[tail] = sample;
     tail = tail + 1 == cap ? 0 : tail + 1;
     if (size_ == cap) {
       head_ = head_ + 1 == cap ? 0 : head_ + 1;  // overwrote the oldest
@@ -43,8 +43,11 @@ void SampleRing::copy_range(std::size_t offset, std::size_t count,
   expects(out.size() >= count, "SampleRing::copy_range: output too small");
   const std::size_t start = (head_ + offset) % capacity_;
   const std::size_t first = std::min(count, capacity_ - start);
-  std::copy_n(data_.get() + start, first, out.begin());
-  std::copy_n(data_.get(), count - first,
+  // Nothing was pushed while the storage is unmapped (data() is null),
+  // so count is 0 there.
+  const Real* data = data_.data();
+  std::copy_n(data + start, first, out.begin());
+  std::copy_n(data, count - first,
               out.begin() + static_cast<std::ptrdiff_t>(first));
 }
 

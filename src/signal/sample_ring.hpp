@@ -6,14 +6,15 @@
 // push appends and overwrites the oldest samples on overflow; reads copy
 // into caller-provided storage so the hot path never allocates.
 //
-// The storage is allocated default-initialised: no read ever passes
-// size(), so nothing needs zeroing, and an hour-long history ring costs
-// its pages only as the stream fills them, not at construction.
+// The storage is a PageBuffer and is never zeroed (no read passes
+// size()): a history-sized ring maps its own pages on the first push and
+// unmaps them when it dies, so an hour-long history costs its pages only
+// as the stream fills them, and none once its session closes.
 #pragma once
 
-#include <memory>
 #include <span>
 
+#include "common/page_buffer.hpp"
 #include "common/types.hpp"
 
 namespace esl::signal {
@@ -42,7 +43,7 @@ class SampleRing {
   std::size_t dropped() const { return dropped_; }
 
  private:
-  std::unique_ptr<Real[]> data_;
+  PageBuffer data_;
   std::size_t capacity_;
   std::size_t head_ = 0;  // index of the oldest sample
   std::size_t size_ = 0;

@@ -118,6 +118,32 @@ TEST(ZeroAllocation, HistoryRowRingFillsAndWrapsWithoutAllocating) {
   EXPECT_EQ(session.history_windows().count(), 5u);
 }
 
+TEST(ZeroAllocation, HistoryOnItsOwnPagesStreamsAllocationFree) {
+  // 120 s at 256 Hz is 240 KiB per channel: the sample rings map their
+  // own pages on the first chunk, which is not a heap allocation.
+  Engine engine(nullptr);
+  const RealVector a = noise(256, 43);
+  const RealVector b = noise(256, 44);
+  const std::vector<std::span<const Real>> chunk = {a, b};
+  const std::uint64_t warm = engine.add_session();
+  for (int i = 0; i < 8; ++i) {
+    engine.ingest(warm, chunk);
+    engine.session(warm).clear_pending();
+  }
+
+  SessionConfig config;
+  config.history_seconds = 120.0;
+  const std::uint64_t id = engine.add_session(config);
+  PatientSession& session = engine.session(id);
+  const std::size_t before = esl::testing::allocation_count();
+  for (int i = 0; i < 130; ++i) {  // fills the history, then wraps
+    engine.ingest(id, chunk);
+    session.clear_pending();
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
+  EXPECT_DOUBLE_EQ(session.history_buffered_s(), 120.0);
+}
+
 TEST(ZeroAllocation, AlarmPostProcessingIsAllocationFree) {
   const features::EglassFeatureExtractor extractor(2);
   PatientSession session(8, extractor, SessionConfig{});

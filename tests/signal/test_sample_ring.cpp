@@ -132,5 +132,33 @@ TEST(SampleRing, ManySmallPushesMatchOneBigPush) {
   EXPECT_EQ(out_a, out_b);
 }
 
+TEST(SampleRing, HistorySizedRingOnItsOwnPagesKeepsTheNewestSamples) {
+  // One sample past the mapping threshold, so the ring maps its pages on
+  // the first push, then wraps twice.
+  const std::size_t capacity =
+      PageBuffer::k_min_mapped_bytes / sizeof(Real) + 1;
+  ASSERT_TRUE(PageBuffer(capacity).mapped());
+  SampleRing ring(capacity);
+  RealVector empty;
+  EXPECT_NO_THROW(ring.copy_range(0, 0, empty));  // nothing mapped yet
+
+  const RealVector v = iota(2 * capacity + 5);
+  for (std::size_t i = 0; i < v.size(); i += 1000) {
+    const std::size_t n = std::min<std::size_t>(1000, v.size() - i);
+    ring.push(std::span<const Real>(v).subspan(i, n));
+  }
+  EXPECT_EQ(ring.size(), capacity);
+  EXPECT_EQ(ring.dropped(), v.size() - capacity);
+  RealVector out(capacity);
+  ring.copy_range(0, capacity, out);
+  EXPECT_EQ(out, RealVector(v.end() - static_cast<std::ptrdiff_t>(capacity),
+                            v.end()));
+
+  SampleRing moved(std::move(ring));
+  RealVector window(4);
+  moved.copy_range(capacity - 4, 4, window);
+  EXPECT_EQ(window, RealVector(v.end() - 4, v.end()));
+}
+
 }  // namespace
 }  // namespace esl::signal
